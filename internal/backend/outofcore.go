@@ -425,14 +425,19 @@ func (b *outOfCore) execSegment(p *bytecode.Program, seg *oocSegment) error {
 	if seg.n < stagingLen {
 		stagingLen = seg.n
 	}
+	bindStaging := func() {
+		for i := range ins {
+			b.cm.Bind(ins[i].role.local, tensor.Tensor{Buf: ins[i].staging, View: tensor.NewView(tensor.MustShape(stagingLen))})
+		}
+	}
 	for i := range ins {
 		buf, err := b.m.AcquireBuffer(ins[i].role.dt, stagingLen)
 		if err != nil {
 			return fmt.Errorf("%w: segment [%d,%d): %w", vm.ErrExec, seg.start, seg.end, err)
 		}
 		ins[i].staging = buf
-		b.cm.Bind(ins[i].role.local, tensor.Tensor{Buf: buf, View: tensor.NewView(tensor.MustShape(stagingLen))})
 	}
+	bindStaging()
 	// All staging state — bound inputs and the body's own materialized
 	// locals/outputs — is torn down when the segment is done, returning
 	// the tiles to the shared recycle pool for the next segment (or the
@@ -450,6 +455,10 @@ func (b *outOfCore) execSegment(p *bytecode.Program, seg *oocSegment) error {
 		if seg.n-lo < seg.chunk {
 			L = seg.n - lo
 			body = seg.tail
+			// The tail body declares its locals L elements long: release
+			// the full-chunk locals so they rematerialize at that length.
+			b.cm.ReleaseRegisters()
+			bindStaging()
 		}
 		for i := range ins {
 			if err := tensor.CopyFlat(ins[i].staging, 0, ins[i].full, lo, L); err != nil {

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -183,5 +184,45 @@ func TestEnvelopeShape(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("error content-type %q", ct)
+	}
+}
+
+// TestRedeclaredRegisterRejected: blackscholes leaves its registers live
+// (a0 is float64[1024]); heatdiffusion on the same session declares a0 as
+// float64[256]. The server must reject the second batch up front with a
+// 400 invalid_program — not run it into the VM — so the session, sync or
+// async, stays usable: its registers keep their values and the next valid
+// batch executes.
+func TestRedeclaredRegisterRejected(t *testing.T) {
+	hs, _ := newTestServer(t, nil)
+	c := &client{t: t, base: hs.URL, token: "secret-a"}
+	ls := listings(t)
+	for _, req := range []api.CreateSession{{}, {Async: true}, {Optimize: true}, {Backend: "outofcore", Async: true}} {
+		t.Run(fmt.Sprintf("async=%v,optimize=%v,backend=%q", req.Async, req.Optimize, req.Backend), func(t *testing.T) {
+			c.t = t
+			ok := http.StatusOK
+			if req.Async {
+				ok = http.StatusAccepted
+			}
+			sess := c.createSession(req)
+			c.submit(sess.ID, ls["blackscholes"], ok)
+			price := c.array(sess.ID, "a10")
+
+			apiErr := c.expectError("POST", "/v1/sessions/"+sess.ID+"/batches", []byte(ls["heatdiffusion"]),
+				http.StatusBadRequest, api.CodeInvalid)
+			if !strings.Contains(apiErr.Message, "register a0 is declared float64[256] but the session holds it as float64[1024]") {
+				t.Errorf("message = %q", apiErr.Message)
+			}
+			var st api.SessionStats
+			c.expect("GET", "/v1/sessions/"+sess.ID+"/stats", nil, http.StatusOK, &st)
+			if st.Session.Batches != 1 {
+				t.Errorf("batches = %d after the rejected batch, want 1", st.Session.Batches)
+			}
+
+			c.submit(sess.ID, ls["blackscholes"], ok)
+			if again := c.array(sess.ID, "a10"); fmt.Sprint(again.Values) != fmt.Sprint(price.Values) {
+				t.Errorf("a10 = %v after the rejection, want %v", again.Values, price.Values)
+			}
+		})
 	}
 }

@@ -407,6 +407,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		prog = optimized
 	}
 
+	if apiErr := sess.checkLive(prog); apiErr != nil {
+		api.WriteError(w, apiErr)
+		return
+	}
 	plan, apiErr := s.compile(sess, prog)
 	if apiErr != nil {
 		api.WriteError(w, apiErr)
@@ -422,6 +426,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if info, ok := prog.Reg(id); ok {
 				sess.regs[name] = regEntry{id: id, dtype: info.DType, n: info.Len}
 			}
+		}
+		if sess.exec != nil {
+			sess.noteLive(prog)
 		}
 		sess.batches++
 		sess.submittedBytes += int64(len(body))

@@ -56,15 +56,16 @@ type session struct {
 	optimize bool              // immutable after construction
 	pipeline *rewrite.Pipeline // immutable after construction: nil unless optimize
 
-	sem            chan struct{}       // 1-slot handler lock; lock/lockCtx/unlock
-	be             backend.Backend     // immutable after construction (calls through it hold sem)
-	exec           *backend.Executor   // immutable after construction: nil unless async
-	regs           map[string]regEntry // guarded by sem
-	batches        int                 // guarded by sem
-	submittedBytes int64               // guarded by sem
-	lastUsed       time.Time           // guarded by sem
-	closed         bool                // guarded by sem
-	release        func()              // immutable after construction: runtime session-registry hook
+	sem            chan struct{}                       // 1-slot handler lock; lock/lockCtx/unlock
+	be             backend.Backend                     // immutable after construction (calls through it hold sem)
+	exec           *backend.Executor                   // immutable after construction: nil unless async
+	regs           map[string]regEntry                 // guarded by sem
+	live           map[bytecode.RegID]bytecode.RegInfo // guarded by sem: async only, see held
+	batches        int                                 // guarded by sem
+	submittedBytes int64                               // guarded by sem
+	lastUsed       time.Time                           // guarded by sem
+	closed         bool                                // guarded by sem
+	release        func()                              // immutable after construction: runtime session-registry hook
 }
 
 // lock acquires the session unconditionally (registry teardown paths,
@@ -95,6 +96,76 @@ type regEntry struct {
 	id    bytecode.RegID
 	dtype tensor.DType
 	n     int
+}
+
+// checkLive rejects a batch that uses a live register through a different
+// declaration. The VM refuses such a batch at execution; rejecting it here
+// keeps the failure a 400 that changes nothing, and keeps an async
+// pipeline from being poisoned by it, so the session stays usable. A batch
+// may reuse a register under a new declaration after freeing it. Caller
+// holds the session lock.
+func (s *session) checkLive(prog *bytecode.Program) *api.Error {
+	var freed map[bytecode.RegID]bool
+	for i := range prog.Instrs {
+		in := &prog.Instrs[i]
+		if in.Op == bytecode.OpFree {
+			if freed == nil {
+				freed = map[bytecode.RegID]bool{}
+			}
+			freed[in.Out.Reg] = true
+			continue
+		}
+		for _, o := range [...]bytecode.Operand{in.Out, in.In1, in.In2} {
+			if !o.IsReg() || freed[o.Reg] {
+				continue
+			}
+			have, isLive := s.held(o.Reg)
+			want, _ := prog.Reg(o.Reg)
+			if isLive && have != want {
+				return api.Errorf(http.StatusBadRequest, api.CodeInvalid,
+					"register %s is declared %v[%d] but the session holds it as %v[%d]; free it first",
+					o.Reg, want.DType, want.Len, have.DType, have.Len)
+			}
+		}
+	}
+	return nil
+}
+
+// held reports the dtype and length of the buffer register r holds when
+// the next batch runs. A sync session reads its idle backend. An async
+// session's earlier batches may still be queued, so it answers from live,
+// the prediction noteLive books. Caller holds the session lock.
+func (s *session) held(r bytecode.RegID) (bytecode.RegInfo, bool) {
+	if s.exec != nil {
+		info, ok := s.live[r]
+		return info, ok
+	}
+	t, ok := s.be.Tensor(r, tensor.View{})
+	if !ok {
+		return bytecode.RegInfo{}, false
+	}
+	return bytecode.RegInfo{DType: t.Buf.DType(), Len: t.Buf.Len()}, true
+}
+
+// noteLive books an admitted async batch's effect on live: every register
+// it references holds a buffer of its declaration afterwards, unless the
+// batch frees it. A failed batch poisons the pipeline, so the prediction
+// only has to hold along successful histories. It may name a register the
+// backend never materialized (an out-of-core temporary), which only makes
+// checkLive stricter. Caller holds the session lock.
+func (s *session) noteLive(prog *bytecode.Program) {
+	for i := range prog.Instrs {
+		in := &prog.Instrs[i]
+		if in.Op == bytecode.OpFree {
+			delete(s.live, in.Out.Reg)
+			continue
+		}
+		for _, o := range [...]bytecode.Operand{in.Out, in.In1, in.In2} {
+			if o.IsReg() {
+				s.live[o.Reg], _ = prog.Reg(o.Reg)
+			}
+		}
+	}
 }
 
 // pending reports the session's submitted-not-yet-executed batches.
@@ -288,6 +359,7 @@ func (reg *registry) create(tenant string, req api.CreateSession) (*session, *ap
 		sem:      make(chan struct{}, 1),
 		be:       be,
 		regs:     map[string]regEntry{},
+		live:     map[bytecode.RegID]bytecode.RegInfo{},
 		lastUsed: reg.now(),
 	}
 	if req.Optimize {

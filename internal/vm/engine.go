@@ -47,6 +47,8 @@ type Engine struct {
 	plans *planCache  // immutable after NewEngine
 	bufs  *bufferPool // immutable after NewEngine
 
+	scratch *scratchPool // immutable after NewEngine: epilogue scratch tiles
+
 	// watermark is the MemoryHighWatermark byte budget (0: unlimited),
 	// immutable after NewEngine; liveBytes tracks buffers currently held
 	// by register files and backend staging (recycle-pool bytes are
@@ -70,6 +72,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 	e := &Engine{
 		pool:      newWorkerPool(cfg.Workers),
 		bufs:      newBufferPool(cfg.PoolCapBytes),
+		scratch:   newScratchPool(),
 		machines:  map[*Machine]struct{}{},
 		watermark: cfg.MemoryHighWatermark,
 	}
@@ -145,11 +148,11 @@ func (e *Engine) Stats() Stats {
 // reserveBytes books n bytes of fresh allocation against the engine's
 // live-byte account and, when a high watermark is configured, enforces
 // the graceful-degradation policy: over the watermark, shed the
-// shareable caches (compiled plans, parked recycle buffers) and
-// re-check; still over on live bytes alone, undo the booking and deny
-// with ErrMemoryPressure. The optimistic add keeps the common path one
-// atomic; concurrent allocators racing past the watermark at worst shed
-// twice, never under-count.
+// shareable caches (compiled plans, parked recycle buffers, epilogue
+// scratch tiles) and re-check; still over on live bytes alone, undo the
+// booking and deny with ErrMemoryPressure. The optimistic add keeps the
+// common path one atomic; concurrent allocators racing past the
+// watermark at worst shed twice, never under-count.
 func (e *Engine) reserveBytes(n int) error {
 	if n > 0 {
 		e.liveBytes.Add(int64(n))
@@ -166,6 +169,7 @@ func (e *Engine) reserveBytes(n int) error {
 		e.plans.purge()
 	}
 	e.bufs.drain()
+	e.scratch.drain()
 	if e.liveBytes.Load() <= int64(e.watermark) {
 		return nil
 	}

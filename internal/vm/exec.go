@@ -59,9 +59,9 @@ func (m *Machine) resolveSources(p *bytecode.Program, in *bytecode.Instruction, 
 			srcs[i] = source{isConst: true, cf: opnd.Const.Float(), ci: opnd.Const.Int()}
 			continue
 		}
-		buf := m.regs.get(opnd.Reg)
-		if buf == nil {
-			return nil, fmt.Errorf("input register %s has no buffer", opnd.Reg)
+		buf, err := m.regs.input(p, opnd.Reg)
+		if err != nil {
+			return nil, err
 		}
 		view, err := opnd.View.BroadcastTo(outShape)
 		if err != nil {

@@ -19,9 +19,9 @@ func (m *Machine) execExtension(p *bytecode.Program, in *bytecode.Instruction) e
 	out := tensor.Tensor{Buf: outBuf, View: in.Out.View}
 
 	pack := func(o bytecode.Operand) (linalg.Dense, error) {
-		buf := m.regs.get(o.Reg)
-		if buf == nil {
-			return linalg.Dense{}, fmt.Errorf("input register %s has no buffer", o.Reg)
+		buf, err := m.regs.input(p, o.Reg)
+		if err != nil {
+			return linalg.Dense{}, err
 		}
 		return linalg.FromTensor(tensor.Tensor{Buf: buf, View: o.View})
 	}

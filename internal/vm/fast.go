@@ -5,36 +5,7 @@ import (
 	"bohrium/internal/tensor"
 )
 
-// rawSrc is a fast-path source for storage type T: a contiguous typed
-// slice, or a scalar constant carried in both computation classes (cf for
-// the float64 class, ci for the exact int64 class — mirroring how
-// resolveSources materializes constants for the accessor path).
-type rawSrc[T tensor.Elem] struct {
-	arr []T // nil for constants
-	cf  float64
-	ci  int64
-}
-
-// rawSources converts resolved sources into fast-path form for storage
-// type T, or fails if any source is non-contiguous, differently sized, or
-// not stored as T.
-func rawSources[T tensor.Elem](srcs []source, n int) ([]rawSrc[T], bool) {
-	out := make([]rawSrc[T], len(srcs))
-	for i, s := range srcs {
-		if s.isConst {
-			out[i] = rawSrc[T]{cf: s.cf, ci: s.ci}
-			continue
-		}
-		raw, ok := tensor.RawSlice[T](s.buf)
-		if !ok || !s.view.Contiguous() || s.view.Size() != n {
-			return nil, false
-		}
-		out[i] = rawSrc[T]{arr: raw[s.view.Offset : s.view.Offset+n]}
-	}
-	return out, true
-}
-
-// fastElementwise executes the instruction with a compiled typed loop over
+// fastElementwise executes the instruction with a compiled kernel over
 // raw slices when the output and every register operand share one dtype
 // and all views are contiguous with equal size; returns false to fall back
 // to the strided accessor path. Large sweeps are split across the worker
@@ -45,44 +16,27 @@ func (m *Machine) fastElementwise(op bytecode.Opcode, out tensor.Buffer, outView
 	if !outView.Contiguous() {
 		return false
 	}
-	switch out.DType() {
-	case tensor.Float64:
-		return fastTyped[float64](m, op, out, outView, srcs)
-	case tensor.Float32:
-		return fastTyped[float32](m, op, out, outView, srcs)
-	case tensor.Int64:
-		return fastTyped[int64](m, op, out, outView, srcs)
-	case tensor.Int32:
-		return fastTyped[int32](m, op, out, outView, srcs)
-	case tensor.Bool, tensor.Uint8:
-		return fastTyped[uint8](m, op, out, outView, srcs)
-	default:
-		return false
-	}
-}
-
-func fastTyped[T tensor.Elem](m *Machine, op bytecode.Opcode, out tensor.Buffer, outView tensor.View, srcs []source) bool {
-	raw, ok := tensor.RawSlice[T](out)
-	if !ok {
-		return false
-	}
+	n := outView.Size()
+	st := boundStep{op: op, dtype: out.DType(), nargs: len(srcs), dst: memLoc(out, outView.Offset),
+		src: [2]operandLoc{noLoc, noLoc}}
 	// Class semantics are defined per instruction dtype; an input stored as
 	// another dtype (even one with the same storage width) falls back.
-	for _, s := range srcs {
-		if !s.isConst && s.buf.DType() != out.DType() {
+	for i, s := range srcs {
+		if s.isConst {
+			st.args[i] = kArg{isConst: true, cf: s.cf, ci: s.ci}
+			continue
+		}
+		if s.buf.DType() != out.DType() || !s.view.Contiguous() || s.view.Size() != n {
 			return false
 		}
+		st.src[i] = memLoc(s.buf, s.view.Offset)
 	}
-	n := outView.Size()
-	rs, ok := rawSources[T](srcs, n)
-	if !ok {
+	if st.compile() != nil {
 		return false
 	}
-	dst := raw[outView.Offset : outView.Offset+n]
-	loop, ok := compileLoop(out.DType(), op, dst, rs)
-	if !ok {
-		return false
-	}
-	m.par.parallelFor(n, m.cfg.ParallelThreshold, loop)
+	steps := []boundStep{st}
+	m.par.parallelFor(n, m.cfg.ParallelThreshold, func(lo, hi int) {
+		runSteps(steps, nil, lo, hi-lo)
+	})
 	return true
 }

@@ -244,30 +244,26 @@ func instrErr(p *bytecode.Program, i int, err error) error {
 
 func (m *Machine) execCluster(p *bytecode.Program, cl cluster) error {
 	n := cl.shape.Size()
-	loops := make([]func(lo, hi int), 0, cl.end-cl.start)
+	steps := make([]boundStep, cl.end-cl.start)
 	for i := cl.start; i < cl.end; i++ {
-		loop, err := m.compileStep(p, &p.Instrs[i], n)
-		if err != nil {
+		st := &steps[i-cl.start]
+		if err := m.locateStep(p, i, st); err != nil {
 			return instrErr(p, i, err)
 		}
-		loops = append(loops, loop)
+		if err := st.compile(); err != nil {
+			return instrErr(p, i, err)
+		}
 	}
 
-	m.stats.instructions.Add(int64(len(loops)))
-	m.stats.fusedInstructions.Add(int64(len(loops)))
+	m.stats.instructions.Add(int64(len(steps)))
+	m.stats.fusedInstructions.Add(int64(len(steps)))
 	m.countFusedDTypes(p, cl.start, cl.end)
 	m.stats.sweeps.Add(1)
-	m.stats.elements.Add(int64(n * len(loops)))
+	m.stats.elements.Add(int64(n * len(steps)))
 
 	m.par.parallelFor(n, m.cfg.ParallelThreshold, func(lo, hi int) {
 		for blockLo := lo; blockLo < hi; blockLo += fusedBlockSize {
-			blockHi := blockLo + fusedBlockSize
-			if blockHi > hi {
-				blockHi = hi
-			}
-			for _, loop := range loops {
-				loop(blockLo, blockHi)
-			}
+			runSteps(steps, nil, blockLo, min(fusedBlockSize, hi-blockLo))
 		}
 	})
 	return nil
@@ -283,56 +279,134 @@ func (m *Machine) countFusedDTypes(p *bytecode.Program, start, end int) {
 	}
 }
 
-// compileStep compiles one cluster instruction into a raw-slice loop,
-// dispatching on the output register's storage dtype.
-func (m *Machine) compileStep(p *bytecode.Program, in *bytecode.Instruction, n int) (func(lo, hi int), error) {
-	outBuf, err := m.regs.ensure(p, in.Out.Reg)
-	if err != nil {
-		return nil, err
-	}
-	switch outBuf.DType() {
-	case tensor.Float64:
-		return compileStepTyped[float64](m, p, in, n, outBuf)
-	case tensor.Float32:
-		return compileStepTyped[float32](m, p, in, n, outBuf)
-	case tensor.Int64:
-		return compileStepTyped[int64](m, p, in, n, outBuf)
-	case tensor.Int32:
-		return compileStepTyped[int32](m, p, in, n, outBuf)
-	case tensor.Bool, tensor.Uint8:
-		return compileStepTyped[uint8](m, p, in, n, outBuf)
-	default:
-		return nil, fmt.Errorf("fused output %s has unsupported dtype %v", in.Out.Reg, outBuf.DType())
-	}
+// Bound steps: the contiguous sweeps — fused clusters and the linear
+// reduction epilogue — bind each instruction once per sweep into a
+// dtype-erased kernel plus one locator per operand. A block then only
+// slices its windows and calls the kernel, so the hot loop builds no
+// closures and allocates nothing.
+
+// stepKernel is a kernel with its storage type erased, so the steps of
+// one sweep, which may differ in dtype, share one slice. Each window is
+// a (buffer, start) pair of n elements; a nil buffer is an operand the
+// kernel does not read (a bound constant, or y of a unary op).
+type stepKernel func(d, x, y tensor.Buffer, dOff, xOff, yOff, n int)
+
+// operandLoc locates one step operand for the flat element block
+// [gLo, gLo+n): a scratch slot, whose window starts at 0; a memory
+// buffer, whose window starts at off+gLo; or nothing (buf nil, slot < 0)
+// for a constant bound into the kernel.
+type operandLoc struct {
+	slot int // >= 0: scratch slot
+	buf  tensor.Buffer
+	off  int
 }
 
-func compileStepTyped[T tensor.Elem](m *Machine, p *bytecode.Program, in *bytecode.Instruction, n int, outBuf tensor.Buffer) (func(lo, hi int), error) {
-	raw, ok := tensor.RawSlice[T](outBuf)
-	if !ok {
-		return nil, fmt.Errorf("fused output %s is not %v", in.Out.Reg, outBuf.DType())
-	}
-	dst := raw[in.Out.View.Offset : in.Out.View.Offset+n]
+// noLoc locates nothing; memLoc locates an operand in real memory.
+var noLoc = operandLoc{slot: -1}
 
-	srcs := make([]rawSrc[T], 0, 2)
-	for _, opnd := range in.Inputs() {
+func memLoc(buf tensor.Buffer, off int) operandLoc { return operandLoc{slot: -1, buf: buf, off: off} }
+
+// window resolves the locator for the block starting at gLo.
+func (l *operandLoc) window(scratch []tensor.Buffer, gLo int) (tensor.Buffer, int) {
+	if l.slot >= 0 {
+		return scratch[l.slot], 0
+	}
+	return l.buf, l.off + gLo
+}
+
+// boundStep is one contiguous instruction bound for blockwise execution.
+// Register buffers come from the register file, which guarantees each
+// matches the program's declaration, so every window lies inside its
+// buffer and has the step's storage type.
+type boundStep struct {
+	index int // instruction index, for error reports
+	op    bytecode.Opcode
+	dtype tensor.DType // storage dtype of every operand
+	args  [2]kArg
+	nargs int
+	dst   operandLoc
+	src   [2]operandLoc
+	kern  stepKernel
+}
+
+// locateStep binds instruction i with every register operand in memory.
+func (m *Machine) locateStep(p *bytecode.Program, i int, st *boundStep) error {
+	in := &p.Instrs[i]
+	ri, _ := p.Reg(in.Out.Reg)
+	*st = boundStep{index: i, op: in.Op, dtype: ri.DType, src: [2]operandLoc{noLoc, noLoc}}
+	buf, err := m.regs.ensure(p, in.Out.Reg)
+	if err != nil {
+		return err
+	}
+	st.dst = memLoc(buf, in.Out.View.Offset)
+	inputs := in.Inputs()
+	st.nargs = len(inputs)
+	for j, opnd := range inputs {
 		if opnd.IsConst() {
-			srcs = append(srcs, rawSrc[T]{cf: opnd.Const.Float(), ci: opnd.Const.Int()})
+			st.args[j] = kArg{isConst: true, cf: opnd.Const.Float(), ci: opnd.Const.Int()}
 			continue
 		}
 		buf, err := m.regs.ensure(p, opnd.Reg)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		sraw, ok := tensor.RawSlice[T](buf)
-		if !ok {
-			return nil, fmt.Errorf("fused input %s is not %v", opnd.Reg, outBuf.DType())
-		}
-		srcs = append(srcs, rawSrc[T]{arr: sraw[opnd.View.Offset : opnd.View.Offset+n]})
+		st.src[j] = memLoc(buf, opnd.View.Offset)
 	}
+	return nil
+}
 
-	loop, ok := compileLoop(outBuf.DType(), in.Op, dst, srcs)
-	if !ok {
-		return nil, fmt.Errorf("no compiled loop for %s", in.Op)
+// compile compiles the step's kernel for its storage dtype.
+func (st *boundStep) compile() error {
+	var ok bool
+	args := st.args[:st.nargs]
+	switch st.dtype {
+	case tensor.Float64:
+		st.kern, ok = eraseKernel[float64](st.dtype, st.op, args)
+	case tensor.Float32:
+		st.kern, ok = eraseKernel[float32](st.dtype, st.op, args)
+	case tensor.Int64:
+		st.kern, ok = eraseKernel[int64](st.dtype, st.op, args)
+	case tensor.Int32:
+		st.kern, ok = eraseKernel[int32](st.dtype, st.op, args)
+	case tensor.Bool, tensor.Uint8:
+		st.kern, ok = eraseKernel[uint8](st.dtype, st.op, args)
+	default:
+		return fmt.Errorf("unsupported dtype %v", st.dtype)
 	}
-	return loop, nil
+	if !ok {
+		return fmt.Errorf("no compiled loop for %s", st.op)
+	}
+	return nil
+}
+
+// eraseKernel compiles a typed kernel and wraps it as a stepKernel.
+func eraseKernel[T tensor.Elem](dt tensor.DType, op bytecode.Opcode, args []kArg) (stepKernel, bool) {
+	k, ok := compileKernel[T](dt, op, args)
+	if !ok {
+		return nil, false
+	}
+	return func(d, x, y tensor.Buffer, dOff, xOff, yOff, n int) {
+		k(rawWindow[T](d, dOff, n), rawWindow[T](x, xOff, n), rawWindow[T](y, yOff, n))
+	}, true
+}
+
+// rawWindow is buf's typed window [off, off+n), or nil for a nil buffer.
+func rawWindow[T tensor.Elem](buf tensor.Buffer, off, n int) []T {
+	if buf == nil {
+		return nil
+	}
+	raw, _ := tensor.RawSlice[T](buf)
+	return raw[off : off+n]
+}
+
+// runSteps executes every bound step over the flat element block
+// [gLo, gLo+n), in program order.
+func runSteps(steps []boundStep, scratch []tensor.Buffer, gLo, n int) {
+	for i := range steps {
+		st := &steps[i]
+		d, dOff := st.dst.window(scratch, gLo)
+		x, xOff := st.src[0].window(scratch, gLo)
+		y, yOff := st.src[1].window(scratch, gLo)
+		st.kern(d, x, y, dOff, xOff, yOff, n)
+	}
 }

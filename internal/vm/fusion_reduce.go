@@ -312,7 +312,7 @@ type epiSrc[T tensor.Elem] struct {
 }
 
 // buildEpiStep compiles one producer step for its storage type, with the
-// same computation-class rules as compileLoop.
+// same computation-class rules as compileKernel.
 func buildEpiStep[T tensor.Elem](m *Machine, p *bytecode.Program, plan *epiPlan, sd *epiStepDesc, ev *epiEval) (func(j int), error) {
 	dt := sd.dtype
 	intClass := !dt.IsFloat()
@@ -343,14 +343,14 @@ func buildEpiStep[T tensor.Elem](m *Machine, p *bytecode.Program, plan *epiPlan,
 			return epiSrc[T]{slot: d.slot}, nil
 		}
 		var buf tensor.Buffer
+		var err error
 		if _, written := plan.slotOf[d.reg]; written {
-			b, err := m.regs.ensure(p, d.reg)
-			if err != nil {
-				return epiSrc[T]{}, err
-			}
-			buf = b
-		} else if buf = m.regs.get(d.reg); buf == nil {
-			return epiSrc[T]{}, fmt.Errorf("input register %s has no buffer", d.reg)
+			buf, err = m.regs.ensure(p, d.reg)
+		} else {
+			buf, err = m.regs.input(p, d.reg)
+		}
+		if err != nil {
+			return epiSrc[T]{}, err
 		}
 		arr, ok := tensor.RawSlice[T](buf)
 		if !ok {

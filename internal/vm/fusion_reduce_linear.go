@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"sync"
 
 	"bohrium/internal/bytecode"
 	"bohrium/internal/tensor"
@@ -9,180 +10,161 @@ import (
 
 // Blockwise linear epilogue: when every operand of the producer cluster
 // is contiguous over the shared shape, the folded sweep keeps the
-// compiled raw-slice loops of execCluster instead of interpreting steps
-// per element. Each worker owns one scratch buffer of fusedBlockSize
-// elements per virtual register; producer loops run block by block into
-// scratch (or through to real memory for live registers), and the
+// compiled kernels of execCluster instead of interpreting steps per
+// element. Each producer step is bound once per sweep (boundStep):
+// virtual registers live in scratch tiles, live registers write through
+// to real memory. Each worker range takes one scratch set — a tile per
+// virtual register, sized to the largest block the sweep strategy hands
+// the worker — from the engine's scratch pool, and returns it when the
+// range ends. Producer kernels run block by block into scratch, and the
 // reduction folds each block in order the moment it is produced. The
 // element order of every line/chunk fold is unchanged, so results stay
 // bit-identical to the two-sweep path and independent of both the worker
 // count and the block size.
 
-// linSrc is a resolved source of a blockwise step: a constant, a virtual
-// scratch slot, or a contiguous window of a real buffer.
-type linSrc struct {
-	isConst bool
-	cf      float64
-	ci      int64
-	slot    int // >= 0: scratch
-	buf     tensor.Buffer
-	off     int
+// scratchPool is the engine's free list of epilogue scratch tiles, one
+// list per dtype, shared by every session. Tiles live outside the register
+// file: they never touch the buffer counters, the recycle pool or the
+// memory watermark — that is the "no materialized temporary" the epilogue
+// promises. A tile's contents are garbage on reuse; a virtual register is
+// always written before it is read within a block.
+type scratchPool struct {
+	mu   sync.Mutex
+	free map[tensor.DType][]tensor.Buffer // guarded by mu
 }
 
-// linStep is one producer instruction resolved for blockwise execution.
-type linStep struct {
-	index   int // instruction index, for error reports
-	dtype   tensor.DType
-	op      bytecode.Opcode
-	dstSlot int // >= 0: scratch destination
-	dstBuf  tensor.Buffer
-	dstOff  int
-	srcs    []linSrc
+// maxScratchPerDType caps each dtype's free list. Tiles hold at most
+// fusedBlockSize elements, so a list pins at most 4 MiB of float64s.
+const maxScratchPerDType = 64
+
+func newScratchPool() *scratchPool {
+	return &scratchPool{free: map[tensor.DType][]tensor.Buffer{}}
 }
 
-// resolveLinSteps binds the plan's steps to buffers and scratch slots,
-// returning the compiled steps, the reduction source's location (scratch
-// slot or buffer+offset), and every real buffer the sweep touches (for
-// the output-alias check).
-func (m *Machine) resolveLinSteps(p *bytecode.Program, plan *epiPlan) ([]linStep, int, tensor.Buffer, int, []tensor.Buffer, error) {
-	var bufs []tensor.Buffer
-	steps := make([]linStep, 0, len(plan.steps))
+// take fills set with one tile per entry of dts, each holding at least n
+// elements: the smallest parked tile that fits, or a fresh one.
+func (sp *scratchPool) take(dts []tensor.DType, n int, set []tensor.Buffer) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	for s, dt := range dts {
+		list := sp.free[dt]
+		best := -1
+		for i, t := range list {
+			if t.Len() >= n && (best < 0 || t.Len() < list[best].Len()) {
+				best = i
+			}
+		}
+		if best < 0 {
+			set[s] = tensor.MustBuffer(dt, n)
+			continue
+		}
+		last := len(list) - 1
+		set[s], list[best], list[last] = list[best], list[last], nil
+		sp.free[dt] = list[:last]
+	}
+}
+
+// put parks every tile of set for reuse and clears set. A full list keeps
+// its largest tiles, which fit every request the smaller ones did, so
+// interleaved sweeps of different sizes cannot pin it to tiles too small
+// for the larger ones.
+func (sp *scratchPool) put(set []tensor.Buffer) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	for i, t := range set {
+		set[i] = nil
+		dt := t.DType()
+		list := sp.free[dt]
+		if len(list) < maxScratchPerDType {
+			sp.free[dt] = append(list, t)
+			continue
+		}
+		small := 0
+		for j := range list {
+			if list[j].Len() < list[small].Len() {
+				small = j
+			}
+		}
+		if t.Len() > list[small].Len() {
+			list[small] = t
+		}
+	}
+}
+
+// drain hands every parked tile to the GC — part of the engine's
+// memory-pressure shed.
+func (sp *scratchPool) drain() {
+	sp.mu.Lock()
+	sp.free = map[tensor.DType][]tensor.Buffer{}
+	sp.mu.Unlock()
+}
+
+// linTileLen is the scratch tile length for a sweep: the largest block the
+// strategy hands one worker. Short lines pack into blocks of at most
+// fusedBlockSize elements, no block exceeds the sweep's element count, and
+// under sweepChunkAxis no block exceeds one chunk.
+func linTileLen(plan *epiPlan, strategy sweepStrategy) int {
+	n := min(fusedBlockSize, plan.lines*plan.axLen)
+	if strategy == sweepChunkAxis {
+		size, _ := chunkParams(plan.axLen)
+		n = min(n, size)
+	}
+	return n
+}
+
+// resolveLinSteps locates every operand of the plan's steps for one
+// sweep — a scratch slot, a window of a real buffer, or a constant — and
+// returns the steps plus the reduction source's locator. Kernels compile
+// separately (boundStep.compile), after the caller's alias check.
+func (m *Machine) resolveLinSteps(p *bytecode.Program, plan *epiPlan) ([]boundStep, operandLoc, error) {
+	steps := make([]boundStep, len(plan.steps))
 	for i := range plan.steps {
 		sd := &plan.steps[i]
-		st := linStep{index: sd.index, dtype: sd.dtype, op: sd.in.Op, dstSlot: -1}
+		st := &steps[i]
+		*st = boundStep{index: sd.index, op: sd.in.Op, dtype: sd.dtype, nargs: len(sd.srcs), src: [2]operandLoc{noLoc, noLoc}}
 		if sd.matDst {
 			buf, err := m.regs.ensure(p, sd.in.Out.Reg)
 			if err != nil {
-				return nil, 0, nil, 0, nil, instrErr(p, sd.index, err)
+				return nil, noLoc, instrErr(p, sd.index, err)
 			}
-			st.dstBuf, st.dstOff = buf, sd.in.Out.View.Offset
-			bufs = append(bufs, buf)
+			st.dst = memLoc(buf, sd.in.Out.View.Offset)
 		} else {
-			st.dstSlot = sd.outSlot
+			st.dst = operandLoc{slot: sd.outSlot}
 		}
 		for j := range sd.srcs {
 			d := &sd.srcs[j]
 			switch {
 			case d.isConst:
-				st.srcs = append(st.srcs, linSrc{isConst: true, cf: d.cf, ci: d.ci, slot: -1})
+				st.args[j] = kArg{isConst: true, cf: d.cf, ci: d.ci}
 			case d.slot >= 0 && !plan.mat[d.reg]:
-				st.srcs = append(st.srcs, linSrc{slot: d.slot})
+				st.src[j] = operandLoc{slot: d.slot}
 			default:
 				// Memory read: an external register, or a cluster-written
 				// register that materializes — its values land in real
-				// memory block-by-block before this step's loop runs.
+				// memory block-by-block before this step's kernel runs.
 				var buf tensor.Buffer
 				var err error
 				if _, written := plan.slotOf[d.reg]; written {
 					buf, err = m.regs.ensure(p, d.reg)
-					if err != nil {
-						return nil, 0, nil, 0, nil, instrErr(p, sd.index, err)
-					}
-				} else if buf = m.regs.get(d.reg); buf == nil {
-					return nil, 0, nil, 0, nil, instrErr(p, sd.index,
-						fmt.Errorf("input register %s has no buffer", d.reg))
+				} else {
+					buf, err = m.regs.input(p, d.reg)
 				}
-				bufs = append(bufs, buf)
-				st.srcs = append(st.srcs, linSrc{slot: -1, buf: buf, off: d.view.Offset})
+				if err != nil {
+					return nil, noLoc, instrErr(p, sd.index, err)
+				}
+				st.src[j] = memLoc(buf, d.view.Offset)
 			}
 		}
-		steps = append(steps, st)
 	}
 	pReg := plan.red.In1.Reg
 	if !plan.mat[pReg] {
-		return steps, plan.pSlot, nil, 0, bufs, nil
+		return steps, operandLoc{slot: plan.pSlot}, nil
 	}
 	pBuf, err := m.regs.ensure(p, pReg)
 	if err != nil {
-		return nil, 0, nil, 0, nil, instrErr(p, plan.redIdx, err)
+		return nil, noLoc, instrErr(p, plan.redIdx, err)
 	}
-	return steps, -1, pBuf, plan.red.In1.View.Offset, bufs, nil
-}
-
-// newLinScratch allocates one worker's scratch set: a fusedBlockSize
-// buffer per virtual register. Scratch lives outside the register file,
-// so it never touches the BuffersAllocated/pool counters — that is the
-// "no materialized temporary" the epilogue promises.
-func newLinScratch(plan *epiPlan) []tensor.Buffer {
-	scratch := make([]tensor.Buffer, plan.nSlots)
-	for s, dt := range plan.slotDT {
-		scratch[s] = tensor.MustBuffer(dt, fusedBlockSize)
-	}
-	return scratch
-}
-
-// compileLinBlock compiles one step for the flat element block [gLo, gHi),
-// dispatching on the step's storage dtype. The returned loop runs over
-// [0, gHi-gLo).
-func compileLinBlock(st *linStep, scratch []tensor.Buffer, gLo, gHi int) (func(lo, hi int), error) {
-	switch st.dtype {
-	case tensor.Float64:
-		return compileLinBlockTyped[float64](st, scratch, gLo, gHi)
-	case tensor.Float32:
-		return compileLinBlockTyped[float32](st, scratch, gLo, gHi)
-	case tensor.Int64:
-		return compileLinBlockTyped[int64](st, scratch, gLo, gHi)
-	case tensor.Int32:
-		return compileLinBlockTyped[int32](st, scratch, gLo, gHi)
-	case tensor.Bool, tensor.Uint8:
-		return compileLinBlockTyped[uint8](st, scratch, gLo, gHi)
-	default:
-		return nil, fmt.Errorf("unsupported dtype %v", st.dtype)
-	}
-}
-
-func compileLinBlockTyped[T tensor.Elem](st *linStep, scratch []tensor.Buffer, gLo, gHi int) (func(lo, hi int), error) {
-	n := gHi - gLo
-	var dst []T
-	if st.dstSlot >= 0 {
-		raw, ok := tensor.RawSlice[T](scratch[st.dstSlot])
-		if !ok {
-			return nil, fmt.Errorf("scratch slot %d is not %v", st.dstSlot, st.dtype)
-		}
-		dst = raw[:n]
-	} else {
-		raw, ok := tensor.RawSlice[T](st.dstBuf)
-		if !ok {
-			return nil, fmt.Errorf("fused output is not %v", st.dtype)
-		}
-		dst = raw[st.dstOff+gLo : st.dstOff+gHi]
-	}
-	srcs := make([]rawSrc[T], 0, 2)
-	for _, s := range st.srcs {
-		switch {
-		case s.isConst:
-			srcs = append(srcs, rawSrc[T]{cf: s.cf, ci: s.ci})
-		case s.slot >= 0:
-			raw, ok := tensor.RawSlice[T](scratch[s.slot])
-			if !ok {
-				return nil, fmt.Errorf("scratch slot %d is not %v", s.slot, st.dtype)
-			}
-			srcs = append(srcs, rawSrc[T]{arr: raw[:n]})
-		default:
-			raw, ok := tensor.RawSlice[T](s.buf)
-			if !ok {
-				return nil, fmt.Errorf("fused input is not %v", st.dtype)
-			}
-			srcs = append(srcs, rawSrc[T]{arr: raw[s.off+gLo : s.off+gHi]})
-		}
-	}
-	loop, ok := compileLoop(st.dtype, st.op, dst, srcs)
-	if !ok {
-		return nil, fmt.Errorf("no compiled loop for %s", st.op)
-	}
-	return loop, nil
-}
-
-// runLinBlock executes every producer step over the flat block [gLo, gHi).
-// Compilation errors were ruled out by the up-front validation pass.
-func runLinBlock(steps []linStep, scratch []tensor.Buffer, gLo, gHi int) {
-	for i := range steps {
-		loop, err := compileLinBlock(&steps[i], scratch, gLo, gHi)
-		if err != nil {
-			return
-		}
-		loop(0, gHi-gLo)
-	}
+	return steps, memLoc(pBuf, plan.red.In1.View.Offset), nil
 }
 
 // foldBlockFloat folds buf[lo:hi) into acc in element order with the
@@ -241,26 +223,23 @@ func foldBlockInt(buf tensor.Buffer, lo, hi int, k func(a, b int64) int64, acc i
 }
 
 // tryLinearEpilogue runs the folded sweep over contiguous operands with
-// blockwise vectorized producer loops. Returns (false, nil) when the
-// reduction output aliases a producer buffer.
+// blockwise compiled producer kernels. Returns (false, nil) when the
+// reduction output aliases a producer buffer; no scratch is taken before
+// that check, so the fallback leaves nothing to return.
 func (m *Machine) tryLinearEpilogue(p *bytecode.Program, plan *epiPlan, outBuf tensor.Buffer) (bool, error) {
-	steps, pSlot, pBuf, pOff, bufs, err := m.resolveLinSteps(p, plan)
+	steps, src, err := m.resolveLinSteps(p, plan)
 	if err != nil {
 		return false, err
 	}
-	for _, buf := range bufs {
-		if buf == outBuf {
+	for i := range steps {
+		st := &steps[i]
+		if st.dst.buf == outBuf || st.src[0].buf == outBuf || st.src[1].buf == outBuf {
 			return false, nil
 		}
 	}
-	// Validate every step compiles before any goroutine runs.
-	scratch0 := newLinScratch(plan)
-	probe := plan.axLen
-	if probe > fusedBlockSize {
-		probe = fusedBlockSize
-	}
+	// Compile every kernel before any goroutine runs.
 	for i := range steps {
-		if _, err := compileLinBlock(&steps[i], scratch0, 0, probe); err != nil {
+		if err := steps[i].compile(); err != nil {
 			return false, instrErr(p, steps[i].index, err)
 		}
 	}
@@ -273,7 +252,7 @@ func (m *Machine) tryLinearEpilogue(p *bytecode.Program, plan *epiPlan, outBuf t
 		if !ok {
 			return false, instrErr(p, plan.redIdx, fmt.Errorf("no int kernel for %s", base))
 		}
-		runLinEpilogue(m, plan, steps, scratch0, pSlot, pBuf, pOff, strategy, outBuf,
+		runLinEpilogue(m, plan, steps, src, strategy, outBuf,
 			k, tensor.Buffer.GetInt, tensor.Buffer.SetInt, foldBlockInt)
 		return true, nil
 	}
@@ -281,7 +260,7 @@ func (m *Machine) tryLinearEpilogue(p *bytecode.Program, plan *epiPlan, outBuf t
 	if !ok {
 		return false, instrErr(p, plan.redIdx, fmt.Errorf("no kernel for %s", base))
 	}
-	runLinEpilogue(m, plan, steps, scratch0, pSlot, pBuf, pOff, strategy, outBuf,
+	runLinEpilogue(m, plan, steps, src, strategy, outBuf,
 		k, tensor.Buffer.Get, tensor.Buffer.Set, foldBlockFloat)
 	return true, nil
 }
@@ -304,23 +283,28 @@ func linOutIndexer(plan *epiPlan) func(l int) int {
 // Every fold visits its line (or chunk) elements strictly in order, so
 // the result is bit-identical to the two-sweep path under the same
 // strategy, and — as in reduce.go — independent of the worker count.
-func runLinEpilogue[E int64 | float64](m *Machine, plan *epiPlan, steps []linStep, scratch0 []tensor.Buffer,
-	pSlot int, pBuf tensor.Buffer, pOff int, strategy sweepStrategy, out tensor.Buffer,
+// Each worker range holds one scratch set from the engine's pool for
+// exactly its own duration.
+func runLinEpilogue[E int64 | float64](m *Machine, plan *epiPlan, steps []boundStep, src operandLoc,
+	strategy sweepStrategy, out tensor.Buffer,
 	k func(a, b E) E, get func(tensor.Buffer, int) E, set func(tensor.Buffer, int, E),
 	fold func(tensor.Buffer, int, int, func(a, b E) E, E) E) {
 
 	lines, axLen := plan.lines, plan.axLen
+	pool, tileLen := m.eng.scratch, linTileLen(plan, strategy)
+	takeScratch := func() []tensor.Buffer {
+		scratch := make([]tensor.Buffer, plan.nSlots)
+		pool.take(plan.slotDT, tileLen, scratch)
+		return scratch
+	}
 
 	// foldRange folds the producer values of flat elements
 	// [gLo, gLo+n) in order. seeded reports whether acc already holds a
 	// value; the first element otherwise seeds the fold, exactly like the
 	// first-element-seeded folds of reduce.go.
 	foldRange := func(scratch []tensor.Buffer, gLo, n int, acc E, seeded bool) E {
-		runLinBlock(steps, scratch, gLo, gLo+n)
-		buf, lo := pBuf, pOff+gLo
-		if pSlot >= 0 {
-			buf, lo = scratch[pSlot], 0
-		}
+		runSteps(steps, scratch, gLo, n)
+		buf, lo := src.window(scratch, gLo)
 		if !seeded {
 			acc = get(buf, lo)
 			return fold(buf, lo+1, lo+n, k, acc)
@@ -333,20 +317,16 @@ func runLinEpilogue[E int64 | float64](m *Machine, plan *epiPlan, steps []linSte
 	foldSpan := func(scratch []tensor.Buffer, lineBase, start, end int) E {
 		var acc E
 		for b := start; b < end; b += fusedBlockSize {
-			bh := b + fusedBlockSize
-			if bh > end {
-				bh = end
-			}
-			acc = foldRange(scratch, lineBase+b, bh-b, acc, b > start)
+			acc = foldRange(scratch, lineBase+b, min(fusedBlockSize, end-b), acc, b > start)
 		}
 		return acc
 	}
 
-	outIdx := linOutIndexer(plan)
-
 	// processLines folds whole lines [lLo, lHi). Short lines share one
 	// producer block; long lines split into sub-blocks.
-	processLines := func(scratch []tensor.Buffer, oi func(int) int, lLo, lHi int) {
+	processLines := func(oi func(int) int, lLo, lHi int) {
+		scratch := takeScratch()
+		defer pool.put(scratch)
 		if axLen >= fusedBlockSize {
 			for l := lLo; l < lHi; l++ {
 				set(out, oi(l), foldSpan(scratch, l*axLen, 0, axLen))
@@ -355,16 +335,10 @@ func runLinEpilogue[E int64 | float64](m *Machine, plan *epiPlan, steps []linSte
 		}
 		perBlock := fusedBlockSize / axLen
 		for lb := lLo; lb < lHi; lb += perBlock {
-			le := lb + perBlock
-			if le > lHi {
-				le = lHi
-			}
-			runLinBlock(steps, scratch, lb*axLen, le*axLen)
-			for l := lb; l < le; l++ {
-				buf, base := pBuf, pOff+l*axLen
-				if pSlot >= 0 {
-					buf, base = scratch[pSlot], (l-lb)*axLen
-				}
+			le := min(lb+perBlock, lHi)
+			runSteps(steps, scratch, lb*axLen, (le-lb)*axLen)
+			buf, base := src.window(scratch, lb*axLen)
+			for l := lb; l < le; l, base = l+1, base+axLen {
 				acc := get(buf, base)
 				acc = fold(buf, base+1, base+axLen, k, acc)
 				set(out, oi(l), acc)
@@ -375,15 +349,17 @@ func runLinEpilogue[E int64 | float64](m *Machine, plan *epiPlan, steps []linSte
 	switch strategy {
 	case sweepSplitOutputs:
 		m.par.parallelFor(lines, 2, func(lo, hi int) {
-			processLines(newLinScratch(plan), linOutIndexer(plan), lo, hi)
+			processLines(linOutIndexer(plan), lo, hi)
 		})
 	case sweepChunkAxis:
+		outIdx := linOutIndexer(plan)
 		size, nc := chunkParams(axLen)
 		partials := make([]E, nc)
 		for l := 0; l < lines; l++ {
 			base := l * axLen
 			m.par.parallelFor(nc, 2, func(cLo, cHi int) {
-				scratch := newLinScratch(plan)
+				scratch := takeScratch()
+				defer pool.put(scratch)
 				for c := cLo; c < cHi; c++ {
 					start, end := chunkBounds(c, size, axLen)
 					partials[c] = foldSpan(scratch, base, start, end)
@@ -396,6 +372,6 @@ func runLinEpilogue[E int64 | float64](m *Machine, plan *epiPlan, steps []linSte
 			set(out, outIdx(l), acc)
 		}
 	default:
-		processLines(scratch0, outIdx, 0, lines)
+		processLines(linOutIndexer(plan), 0, lines)
 	}
 }

@@ -215,7 +215,7 @@ func loadInt[T tensor.Elem](o typedOperand[T]) func() int64 {
 }
 
 // makeStridedStep compiles the per-element body for one instruction with
-// the same class rules as compileLoop: float dtypes use the float64
+// the same class rules as compileKernel: float dtypes use the float64
 // kernels, integer dtypes the int64 kernels (float fallback when none),
 // bool normalizes every store to 0/1.
 func makeStridedStep[T tensor.Elem](dt tensor.DType, op bytecode.Opcode, dstArr []T, dstCur *cursor, ins []typedOperand[T]) (stridedStep, error) {

@@ -7,12 +7,13 @@ import (
 	"bohrium/internal/tensor"
 )
 
-// Compiled loop bodies for contiguous operands of any storage dtype.
-// compileLoop turns one instruction into a range-callable closure with the
+// Compiled kernels for contiguous operands of any storage dtype.
+// compileKernel turns one instruction into a slice kernel with the
 // arithmetic inlined; the single-sweep fast path calls it across worker
-// chunks, and fused clusters call it per cache-sized block — the
-// interpreted equivalent of the kernel the paper's OpenCL backend would
-// JIT, instantiated per element type through Go generics.
+// chunks, and fused clusters and the linear reduction epilogue call it
+// per cache-sized block — the interpreted equivalent of the kernel the
+// paper's OpenCL backend would JIT, instantiated per element type
+// through Go generics.
 //
 // Semantics are pinned to the interpreted accessor path: float dtypes
 // compute in the float64 class and convert back through the storage type
@@ -22,160 +23,162 @@ import (
 // does), and bool stores normalize to 0/1 the way Buffer.Set/SetInt do.
 // This keeps fused execution bit-identical to the interpreter for every
 // dtype.
-func compileLoop[T tensor.Elem](dt tensor.DType, op bytecode.Opcode, dst []T, srcs []rawSrc[T]) (func(lo, hi int), bool) {
+
+// kernel is one instruction's arithmetic over equal-length windows of
+// its storage type: d = op(x, y). Constant operands are bound into the
+// kernel when it is compiled and arrive as nil windows, as does y for a
+// unary op. A kernel captures nothing but constants, so one kernel
+// serves every block, worker and buffer binding of a sweep.
+type kernel[T tensor.Elem] func(d, x, y []T)
+
+// kArg describes one kernel operand at compile time: an array window
+// supplied per call, or a constant carried in both computation classes
+// (cf for the float64 class, ci for the exact int64 class — mirroring
+// how resolveSources materializes constants for the accessor path).
+type kArg struct {
+	isConst bool
+	cf      float64
+	ci      int64
+}
+
+// compileKernel compiles op over operands args for storage dtype dt, or
+// reports false when no compiled form exists.
+func compileKernel[T tensor.Elem](dt tensor.DType, op bytecode.Opcode, args []kArg) (kernel[T], bool) {
 	switch {
 	case dt == tensor.Bool:
-		return compileBoolLoop(op, dst, srcs)
+		return compileBoolKernel[T](op, args)
 	case dt.IsFloat():
-		switch len(srcs) {
+		switch len(args) {
 		case 1:
-			return compileFloatUnaryLoop(op, dst, srcs[0])
+			return compileFloatUnaryKernel[T](op, args[0])
 		case 2:
-			return compileFloatBinaryLoop(op, dst, srcs[0], srcs[1])
+			return compileFloatBinaryKernel[T](op, args[0], args[1])
 		}
 	default:
-		switch len(srcs) {
+		switch len(args) {
 		case 1:
-			return compileIntUnaryLoop(op, dst, srcs[0])
+			return compileIntUnaryKernel[T](op, args[0])
 		case 2:
-			return compileIntBinaryLoop(op, dst, srcs[0], srcs[1])
+			return compileIntBinaryKernel[T](op, args[0], args[1])
 		}
 	}
 	return nil, false
 }
 
-// fillLoop writes the constant c across the range.
-func fillLoop[T tensor.Elem](dst []T, c T) func(lo, hi int) {
-	return func(lo, hi int) {
-		d := dst[lo:hi]
+// fillKernel writes the constant c across the window.
+func fillKernel[T tensor.Elem](c T) kernel[T] {
+	return func(d, _, _ []T) {
 		for i := range d {
 			d[i] = c
 		}
 	}
 }
 
-func compileFloatUnaryLoop[T tensor.Elem](op bytecode.Opcode, dst []T, s rawSrc[T]) (func(lo, hi int), bool) {
+func compileFloatUnaryKernel[T tensor.Elem](op bytecode.Opcode, s kArg) (kernel[T], bool) {
 	if op == bytecode.OpIdentity {
-		if s.arr == nil {
-			return fillLoop(dst, T(s.cf)), true
+		if s.isConst {
+			return fillKernel(T(s.cf)), true
 		}
-		arr := s.arr
-		return func(lo, hi int) {
-			copy(dst[lo:hi], arr[lo:hi])
-		}, true
+		return func(d, xs, _ []T) { copy(d, xs) }, true
 	}
 	k, ok := floatUnaryKernel(op)
 	if !ok {
 		return nil, false
 	}
-	if s.arr == nil {
-		return fillLoop(dst, T(k(s.cf))), true
+	if s.isConst {
+		return fillKernel(T(k(s.cf))), true
 	}
-	arr := s.arr
-	return func(lo, hi int) {
-		d, a := dst[lo:hi], arr[lo:hi]
+	return func(d, xs, _ []T) {
+		xs = xs[:len(d)]
 		for i := range d {
-			d[i] = T(k(float64(a[i])))
+			d[i] = T(k(float64(xs[i])))
 		}
 	}, true
 }
 
-func compileFloatBinaryLoop[T tensor.Elem](op bytecode.Opcode, dst []T, a, b rawSrc[T]) (func(lo, hi int), bool) {
+func compileFloatBinaryKernel[T tensor.Elem](op bytecode.Opcode, a, b kArg) (kernel[T], bool) {
 	// Specialized word-wide/unrolled kernels first; each declines unless
 	// its bit-for-bit equivalence argument holds (loops_specialized.go).
-	if loop, ok := specializedFloatBinary(op, dst, a, b); ok {
-		return loop, true
+	if k, ok := specializedFloatBinary[T](op, a, b); ok {
+		return k, true
 	}
 	// Hand-inlined forms for the memory-bound sweeps the paper's
 	// transformations count.
-	switch op {
-	case bytecode.OpAdd:
-		switch {
-		case a.arr != nil && b.arr == nil:
-			x, c := a.arr, b.cf
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
-				for i := range d {
-					d[i] = T(float64(xs[i]) + c)
-				}
-			}, true
-		case a.arr != nil && b.arr != nil:
-			x, y := a.arr, b.arr
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
+	if !a.isConst {
+		c := b.cf
+		switch op {
+		case bytecode.OpAdd:
+			if b.isConst {
+				return func(d, xs, _ []T) {
+					xs = xs[:len(d)]
+					for i := range d {
+						d[i] = T(float64(xs[i]) + c)
+					}
+				}, true
+			}
+			return func(d, xs, ys []T) {
+				xs, ys = xs[:len(d)], ys[:len(d)]
 				for i := range d {
 					d[i] = T(float64(xs[i]) + float64(ys[i]))
 				}
 			}, true
-		}
-	case bytecode.OpSubtract:
-		switch {
-		case a.arr != nil && b.arr == nil:
-			x, c := a.arr, b.cf
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
-				for i := range d {
-					d[i] = T(float64(xs[i]) - c)
-				}
-			}, true
-		case a.arr != nil && b.arr != nil:
-			x, y := a.arr, b.arr
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
+		case bytecode.OpSubtract:
+			if b.isConst {
+				return func(d, xs, _ []T) {
+					xs = xs[:len(d)]
+					for i := range d {
+						d[i] = T(float64(xs[i]) - c)
+					}
+				}, true
+			}
+			return func(d, xs, ys []T) {
+				xs, ys = xs[:len(d)], ys[:len(d)]
 				for i := range d {
 					d[i] = T(float64(xs[i]) - float64(ys[i]))
 				}
 			}, true
-		}
-	case bytecode.OpMultiply:
-		switch {
-		case a.arr != nil && b.arr == nil:
-			x, c := a.arr, b.cf
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
-				for i := range d {
-					d[i] = T(float64(xs[i]) * c)
-				}
-			}, true
-		case a.arr != nil && b.arr != nil:
-			x, y := a.arr, b.arr
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
+		case bytecode.OpMultiply:
+			if b.isConst {
+				return func(d, xs, _ []T) {
+					xs = xs[:len(d)]
+					for i := range d {
+						d[i] = T(float64(xs[i]) * c)
+					}
+				}, true
+			}
+			return func(d, xs, ys []T) {
+				xs, ys = xs[:len(d)], ys[:len(d)]
 				for i := range d {
 					d[i] = T(float64(xs[i]) * float64(ys[i]))
 				}
 			}, true
-		}
-	case bytecode.OpDivide:
-		switch {
-		case a.arr != nil && b.arr == nil:
-			x, c := a.arr, b.cf
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
-				for i := range d {
-					d[i] = T(float64(xs[i]) / c)
-				}
-			}, true
-		case a.arr != nil && b.arr != nil:
-			x, y := a.arr, b.arr
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
+		case bytecode.OpDivide:
+			if b.isConst {
+				return func(d, xs, _ []T) {
+					xs = xs[:len(d)]
+					for i := range d {
+						d[i] = T(float64(xs[i]) / c)
+					}
+				}, true
+			}
+			return func(d, xs, ys []T) {
+				xs, ys = xs[:len(d)], ys[:len(d)]
 				for i := range d {
 					d[i] = T(float64(xs[i]) / float64(ys[i]))
 				}
 			}, true
-		}
-	case bytecode.OpPower:
-		// The expensive sweep power expansion eliminates: keep it honest
-		// (a real math.Pow per element, as the OpenCL backend's pow()).
-		if a.arr != nil && b.arr == nil {
-			x, c := a.arr, b.cf
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
-				for i := range d {
-					d[i] = T(math.Pow(float64(xs[i]), c))
-				}
-			}, true
+		case bytecode.OpPower:
+			// The expensive sweep power expansion eliminates: keep it
+			// honest (a real math.Pow per element, as the OpenCL
+			// backend's pow()).
+			if b.isConst {
+				return func(d, xs, _ []T) {
+					xs = xs[:len(d)]
+					for i := range d {
+						d[i] = T(math.Pow(float64(xs[i]), c))
+					}
+				}, true
+			}
 		}
 	}
 
@@ -184,28 +187,29 @@ func compileFloatBinaryLoop[T tensor.Elem](op bytecode.Opcode, dst []T, a, b raw
 		return nil, false
 	}
 	switch {
-	case a.arr == nil && b.arr == nil:
-		return fillLoop(dst, T(k(a.cf, b.cf))), true
-	case a.arr == nil:
-		y, c := b.arr, a.cf
-		return func(lo, hi int) {
-			d, ys := dst[lo:hi], y[lo:hi]
+	case a.isConst && b.isConst:
+		return fillKernel(T(k(a.cf, b.cf))), true
+	case a.isConst:
+		c := a.cf
+		// A constant left operand arrives as a nil x: the array operand
+		// is the y window.
+		return func(d, _, ys []T) {
+			ys = ys[:len(d)]
 			for i := range d {
 				d[i] = T(k(c, float64(ys[i])))
 			}
 		}, true
-	case b.arr == nil:
-		x, c := a.arr, b.cf
-		return func(lo, hi int) {
-			d, xs := dst[lo:hi], x[lo:hi]
+	case b.isConst:
+		c := b.cf
+		return func(d, xs, _ []T) {
+			xs = xs[:len(d)]
 			for i := range d {
 				d[i] = T(k(float64(xs[i]), c))
 			}
 		}, true
 	default:
-		x, y := a.arr, b.arr
-		return func(lo, hi int) {
-			d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
+		return func(d, xs, ys []T) {
+			xs, ys = xs[:len(d)], ys[:len(d)]
 			for i := range d {
 				d[i] = T(k(float64(xs[i]), float64(ys[i])))
 			}
@@ -213,16 +217,15 @@ func compileFloatBinaryLoop[T tensor.Elem](op bytecode.Opcode, dst []T, a, b raw
 	}
 }
 
-func compileIntUnaryLoop[T tensor.Elem](op bytecode.Opcode, dst []T, s rawSrc[T]) (func(lo, hi int), bool) {
+func compileIntUnaryKernel[T tensor.Elem](op bytecode.Opcode, s kArg) (kernel[T], bool) {
 	if k, ok := intUnaryKernel(op); ok {
-		if s.arr == nil {
-			return fillLoop(dst, T(k(s.ci))), true
+		if s.isConst {
+			return fillKernel(T(k(s.ci))), true
 		}
-		arr := s.arr
-		return func(lo, hi int) {
-			d, a := dst[lo:hi], arr[lo:hi]
+		return func(d, xs, _ []T) {
+			xs = xs[:len(d)]
 			for i := range d {
-				d[i] = T(k(int64(a[i])))
+				d[i] = T(k(int64(xs[i])))
 			}
 		}, true
 	}
@@ -232,79 +235,69 @@ func compileIntUnaryLoop[T tensor.Elem](op bytecode.Opcode, dst []T, s rawSrc[T]
 	if !ok {
 		return nil, false
 	}
-	if s.arr == nil {
-		return fillLoop(dst, T(k(s.cf))), true
+	if s.isConst {
+		return fillKernel(T(k(s.cf))), true
 	}
-	arr := s.arr
-	return func(lo, hi int) {
-		d, a := dst[lo:hi], arr[lo:hi]
+	return func(d, xs, _ []T) {
+		xs = xs[:len(d)]
 		for i := range d {
-			d[i] = T(k(float64(a[i])))
+			d[i] = T(k(float64(xs[i])))
 		}
 	}, true
 }
 
-func compileIntBinaryLoop[T tensor.Elem](op bytecode.Opcode, dst []T, a, b rawSrc[T]) (func(lo, hi int), bool) {
+func compileIntBinaryKernel[T tensor.Elem](op bytecode.Opcode, a, b kArg) (kernel[T], bool) {
 	// Specialized native-width kernels first (loops_specialized.go).
-	if loop, ok := specializedIntBinary(op, dst, a, b); ok {
-		return loop, true
+	if k, ok := specializedIntBinary[T](op, a, b); ok {
+		return k, true
 	}
 	// Hand-inlined wrap-exact forms: widening to int64 and truncating back
 	// through T is identical to native T arithmetic for +,-,* and matches
 	// the interpreted int class for every width.
-	switch op {
-	case bytecode.OpAdd:
-		switch {
-		case a.arr != nil && b.arr == nil:
-			x, c := a.arr, b.ci
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
-				for i := range d {
-					d[i] = T(int64(xs[i]) + c)
-				}
-			}, true
-		case a.arr != nil && b.arr != nil:
-			x, y := a.arr, b.arr
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
+	if !a.isConst {
+		c := b.ci
+		switch op {
+		case bytecode.OpAdd:
+			if b.isConst {
+				return func(d, xs, _ []T) {
+					xs = xs[:len(d)]
+					for i := range d {
+						d[i] = T(int64(xs[i]) + c)
+					}
+				}, true
+			}
+			return func(d, xs, ys []T) {
+				xs, ys = xs[:len(d)], ys[:len(d)]
 				for i := range d {
 					d[i] = T(int64(xs[i]) + int64(ys[i]))
 				}
 			}, true
-		}
-	case bytecode.OpSubtract:
-		switch {
-		case a.arr != nil && b.arr == nil:
-			x, c := a.arr, b.ci
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
-				for i := range d {
-					d[i] = T(int64(xs[i]) - c)
-				}
-			}, true
-		case a.arr != nil && b.arr != nil:
-			x, y := a.arr, b.arr
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
+		case bytecode.OpSubtract:
+			if b.isConst {
+				return func(d, xs, _ []T) {
+					xs = xs[:len(d)]
+					for i := range d {
+						d[i] = T(int64(xs[i]) - c)
+					}
+				}, true
+			}
+			return func(d, xs, ys []T) {
+				xs, ys = xs[:len(d)], ys[:len(d)]
 				for i := range d {
 					d[i] = T(int64(xs[i]) - int64(ys[i]))
 				}
 			}, true
-		}
-	case bytecode.OpMultiply:
-		switch {
-		case a.arr != nil && b.arr == nil:
-			x, c := a.arr, b.ci
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
-				for i := range d {
-					d[i] = T(int64(xs[i]) * c)
-				}
-			}, true
-		case a.arr != nil && b.arr != nil:
-			x, y := a.arr, b.arr
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
+		case bytecode.OpMultiply:
+			if b.isConst {
+				return func(d, xs, _ []T) {
+					xs = xs[:len(d)]
+					for i := range d {
+						d[i] = T(int64(xs[i]) * c)
+					}
+				}, true
+			}
+			return func(d, xs, ys []T) {
+				xs, ys = xs[:len(d)], ys[:len(d)]
 				for i := range d {
 					d[i] = T(int64(xs[i]) * int64(ys[i]))
 				}
@@ -313,28 +306,27 @@ func compileIntBinaryLoop[T tensor.Elem](op bytecode.Opcode, dst []T, a, b rawSr
 	}
 	if k, ok := intBinaryKernel(op); ok {
 		switch {
-		case a.arr == nil && b.arr == nil:
-			return fillLoop(dst, T(k(a.ci, b.ci))), true
-		case a.arr == nil:
-			y, c := b.arr, a.ci
-			return func(lo, hi int) {
-				d, ys := dst[lo:hi], y[lo:hi]
+		case a.isConst && b.isConst:
+			return fillKernel(T(k(a.ci, b.ci))), true
+		case a.isConst:
+			c := a.ci
+			return func(d, _, ys []T) {
+				ys = ys[:len(d)]
 				for i := range d {
 					d[i] = T(k(c, int64(ys[i])))
 				}
 			}, true
-		case b.arr == nil:
-			x, c := a.arr, b.ci
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
+		case b.isConst:
+			c := b.ci
+			return func(d, xs, _ []T) {
+				xs = xs[:len(d)]
 				for i := range d {
 					d[i] = T(k(int64(xs[i]), c))
 				}
 			}, true
 		default:
-			x, y := a.arr, b.arr
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
+			return func(d, xs, ys []T) {
+				xs, ys = xs[:len(d)], ys[:len(d)]
 				for i := range d {
 					d[i] = T(k(int64(xs[i]), int64(ys[i])))
 				}
@@ -348,28 +340,27 @@ func compileIntBinaryLoop[T tensor.Elem](op bytecode.Opcode, dst []T, a, b rawSr
 		return nil, false
 	}
 	switch {
-	case a.arr == nil && b.arr == nil:
-		return fillLoop(dst, T(k(a.cf, b.cf))), true
-	case a.arr == nil:
-		y, c := b.arr, a.cf
-		return func(lo, hi int) {
-			d, ys := dst[lo:hi], y[lo:hi]
+	case a.isConst && b.isConst:
+		return fillKernel(T(k(a.cf, b.cf))), true
+	case a.isConst:
+		c := a.cf
+		return func(d, _, ys []T) {
+			ys = ys[:len(d)]
 			for i := range d {
 				d[i] = T(k(c, float64(ys[i])))
 			}
 		}, true
-	case b.arr == nil:
-		x, c := a.arr, b.cf
-		return func(lo, hi int) {
-			d, xs := dst[lo:hi], x[lo:hi]
+	case b.isConst:
+		c := b.cf
+		return func(d, xs, _ []T) {
+			xs = xs[:len(d)]
 			for i := range d {
 				d[i] = T(k(float64(xs[i]), c))
 			}
 		}, true
 	default:
-		x, y := a.arr, b.arr
-		return func(lo, hi int) {
-			d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
+		return func(d, xs, ys []T) {
+			xs, ys = xs[:len(d)], ys[:len(d)]
 			for i := range d {
 				d[i] = T(k(float64(xs[i]), float64(ys[i])))
 			}
@@ -377,22 +368,21 @@ func compileIntBinaryLoop[T tensor.Elem](op bytecode.Opcode, dst []T, a, b rawSr
 	}
 }
 
-// compileBoolLoop handles dtype bool (uint8 storage): values compute in
-// the int class where a kernel exists (float class otherwise) and every
-// store normalizes to 0/1 exactly as Buffer.Set/SetInt do.
-func compileBoolLoop[T tensor.Elem](op bytecode.Opcode, dst []T, srcs []rawSrc[T]) (func(lo, hi int), bool) {
-	switch len(srcs) {
+// compileBoolKernel handles dtype bool (uint8 storage): values compute
+// in the int class where a kernel exists (float class otherwise) and
+// every store normalizes to 0/1 exactly as Buffer.Set/SetInt do.
+func compileBoolKernel[T tensor.Elem](op bytecode.Opcode, args []kArg) (kernel[T], bool) {
+	switch len(args) {
 	case 1:
-		s := srcs[0]
+		s := args[0]
 		if k, ok := intUnaryKernel(op); ok {
-			if s.arr == nil {
-				return fillLoop(dst, b01[T](k(s.ci) != 0)), true
+			if s.isConst {
+				return fillKernel(b01[T](k(s.ci) != 0)), true
 			}
-			arr := s.arr
-			return func(lo, hi int) {
-				d, a := dst[lo:hi], arr[lo:hi]
+			return func(d, xs, _ []T) {
+				xs = xs[:len(d)]
 				for i := range d {
-					d[i] = b01[T](k(int64(a[i])) != 0)
+					d[i] = b01[T](k(int64(xs[i])) != 0)
 				}
 			}, true
 		}
@@ -400,23 +390,22 @@ func compileBoolLoop[T tensor.Elem](op bytecode.Opcode, dst []T, srcs []rawSrc[T
 		if !ok {
 			return nil, false
 		}
-		if s.arr == nil {
-			return fillLoop(dst, b01[T](k(s.cf) != 0)), true
+		if s.isConst {
+			return fillKernel(b01[T](k(s.cf) != 0)), true
 		}
-		arr := s.arr
-		return func(lo, hi int) {
-			d, a := dst[lo:hi], arr[lo:hi]
+		return func(d, xs, _ []T) {
+			xs = xs[:len(d)]
 			for i := range d {
-				d[i] = b01[T](k(float64(a[i])) != 0)
+				d[i] = b01[T](k(float64(xs[i])) != 0)
 			}
 		}, true
 	case 2:
-		a, b := srcs[0], srcs[1]
+		a, b := args[0], args[1]
 		if k, ok := intBinaryKernel(op); ok {
-			la, lb := intLoad(a), intLoad(b)
-			return func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst[i] = b01[T](k(la(i), lb(i)) != 0)
+			la, lb := intLoad[T](a), intLoad[T](b)
+			return func(d, xs, ys []T) {
+				for i := range d {
+					d[i] = b01[T](k(la(xs, i), lb(ys, i)) != 0)
 				}
 			}, true
 		}
@@ -424,10 +413,10 @@ func compileBoolLoop[T tensor.Elem](op bytecode.Opcode, dst []T, srcs []rawSrc[T
 		if !ok {
 			return nil, false
 		}
-		la, lb := floatLoad(a), floatLoad(b)
-		return func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dst[i] = b01[T](k(la(i), lb(i)) != 0)
+		la, lb := floatLoad[T](a), floatLoad[T](b)
+		return func(d, xs, ys []T) {
+			for i := range d {
+				d[i] = b01[T](k(la(xs, i), lb(ys, i)) != 0)
 			}
 		}, true
 	}
@@ -442,22 +431,20 @@ func b01[T tensor.Elem](v bool) T {
 	return 0
 }
 
-// intLoad/floatLoad build per-index class loaders for a source, used by
+// intLoad/floatLoad build per-index class loaders for an operand, used by
 // the (cold) bool path where per-element closure calls are acceptable.
-func intLoad[T tensor.Elem](s rawSrc[T]) func(i int) int64 {
-	if s.arr == nil {
+func intLoad[T tensor.Elem](s kArg) func(w []T, i int) int64 {
+	if s.isConst {
 		c := s.ci
-		return func(int) int64 { return c }
+		return func([]T, int) int64 { return c }
 	}
-	arr := s.arr
-	return func(i int) int64 { return int64(arr[i]) }
+	return func(w []T, i int) int64 { return int64(w[i]) }
 }
 
-func floatLoad[T tensor.Elem](s rawSrc[T]) func(i int) float64 {
-	if s.arr == nil {
+func floatLoad[T tensor.Elem](s kArg) func(w []T, i int) float64 {
+	if s.isConst {
 		c := s.cf
-		return func(int) float64 { return c }
+		return func([]T, int) float64 { return c }
 	}
-	arr := s.arr
-	return func(i int) float64 { return float64(arr[i]) }
+	return func(w []T, i int) float64 { return float64(w[i]) }
 }

@@ -8,7 +8,7 @@ import (
 // Specialized inner loops for the hottest (op, dtype) pairs: word-wide
 // native arithmetic instead of the generic widen-to-class-and-round-back
 // bodies of loops.go. They slot in underneath the existing dispatch —
-// compileFloatBinaryLoop/compileIntBinaryLoop try these first — so fused
+// compileFloatBinaryKernel/compileIntBinaryKernel try these first — so fused
 // clusters, the single-sweep fast path, and the linear reduction epilogue
 // all pick them up with no planning changes.
 //
@@ -30,98 +30,93 @@ import (
 //
 // The per-kernel differential suite in loops_specialized_test.go pins
 // each of these equalities against the generic bodies.
-func specializedFloatBinary[T tensor.Elem](op bytecode.Opcode, dst []T, a, b rawSrc[T]) (func(lo, hi int), bool) {
-	switch d := any(dst).(type) {
-	case []float32:
-		x, _ := any(a.arr).([]float32)
-		y, _ := any(b.arr).([]float32)
-		return specFloat32Binary(op, d, x, y, b.cf, b.arr == nil)
-	case []float64:
-		x, _ := any(a.arr).([]float64)
-		y, _ := any(b.arr).([]float64)
-		return specFloat64Binary(op, d, x, y, b.cf, b.arr == nil)
-	}
-	return nil, false
-}
-
-// specFloat32Binary compiles the float32 forms. bConst reports a constant
-// right operand (value bcf); constant forms decline unless bcf is exactly
-// representable, keeping the double-rounding equivalence intact.
-func specFloat32Binary(op bytecode.Opcode, dst, x, y []float32, bcf float64, bConst bool) (func(lo, hi int), bool) {
-	if x == nil {
+func specializedFloatBinary[T tensor.Elem](op bytecode.Opcode, a, b kArg) (kernel[T], bool) {
+	if a.isConst {
 		return nil, false
 	}
-	c := float32(bcf)
-	constExact := bConst && float64(c) == bcf
+	var k any
+	var ok bool
+	switch any(*new(T)).(type) {
+	case float32:
+		k, ok = specFloat32Binary(op, b)
+	case float64:
+		k, ok = specFloat64Binary(op, b)
+	}
+	if !ok {
+		return nil, false
+	}
+	return k.(kernel[T]), true
+}
+
+// specFloat32Binary compiles the float32 forms of x op b. Constant forms
+// decline unless b's value is exactly representable, keeping the
+// double-rounding equivalence intact.
+func specFloat32Binary(op bytecode.Opcode, b kArg) (kernel[float32], bool) {
+	c := float32(b.cf)
+	if b.isConst && float64(c) != b.cf {
+		return nil, false
+	}
 	switch op {
 	case bytecode.OpAdd:
-		if !bConst && y != nil {
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
-				for i := range d {
-					d[i] = xs[i] + ys[i]
-				}
-			}, true
-		}
-		if constExact {
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
+		if b.isConst {
+			return func(d, xs, _ []float32) {
+				xs = xs[:len(d)]
 				for i := range d {
 					d[i] = xs[i] + c
 				}
 			}, true
 		}
+		return func(d, xs, ys []float32) {
+			xs, ys = xs[:len(d)], ys[:len(d)]
+			for i := range d {
+				d[i] = xs[i] + ys[i]
+			}
+		}, true
 	case bytecode.OpSubtract:
-		if !bConst && y != nil {
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
-				for i := range d {
-					d[i] = xs[i] - ys[i]
-				}
-			}, true
-		}
-		if constExact {
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
+		if b.isConst {
+			return func(d, xs, _ []float32) {
+				xs = xs[:len(d)]
 				for i := range d {
 					d[i] = xs[i] - c
 				}
 			}, true
 		}
+		return func(d, xs, ys []float32) {
+			xs, ys = xs[:len(d)], ys[:len(d)]
+			for i := range d {
+				d[i] = xs[i] - ys[i]
+			}
+		}, true
 	case bytecode.OpMultiply:
-		if !bConst && y != nil {
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
-				for i := range d {
-					d[i] = xs[i] * ys[i]
-				}
-			}, true
-		}
-		if constExact {
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
+		if b.isConst {
+			return func(d, xs, _ []float32) {
+				xs = xs[:len(d)]
 				for i := range d {
 					d[i] = xs[i] * c
 				}
 			}, true
 		}
+		return func(d, xs, ys []float32) {
+			xs, ys = xs[:len(d)], ys[:len(d)]
+			for i := range d {
+				d[i] = xs[i] * ys[i]
+			}
+		}, true
 	case bytecode.OpDivide:
-		if !bConst && y != nil {
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
-				for i := range d {
-					d[i] = xs[i] / ys[i]
-				}
-			}, true
-		}
-		if constExact {
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
+		if b.isConst {
+			return func(d, xs, _ []float32) {
+				xs = xs[:len(d)]
 				for i := range d {
 					d[i] = xs[i] / c
 				}
 			}, true
 		}
+		return func(d, xs, ys []float32) {
+			xs, ys = xs[:len(d)], ys[:len(d)]
+			for i := range d {
+				d[i] = xs[i] / ys[i]
+			}
+		}, true
 	}
 	return nil, false
 }
@@ -129,15 +124,27 @@ func specFloat32Binary(op bytecode.Opcode, dst, x, y []float32, bcf float64, bCo
 // specFloat64Binary compiles the unrolled float64 forms. float64 is the
 // computation class itself, so no rounding argument is needed — the
 // unroll reorders nothing, it only amortizes loop overhead.
-func specFloat64Binary(op bytecode.Opcode, dst, x, y []float64, bcf float64, bConst bool) (func(lo, hi int), bool) {
-	if x == nil {
-		return nil, false
-	}
-	var kArr func(d, xs, ys []float64)
-	var kConst func(d, xs []float64, c float64)
+func specFloat64Binary(op bytecode.Opcode, b kArg) (kernel[float64], bool) {
+	c := b.cf
 	switch op {
 	case bytecode.OpAdd:
-		kArr = func(d, xs, ys []float64) {
+		if b.isConst {
+			return func(d, xs, _ []float64) {
+				xs = xs[:len(d)]
+				i := 0
+				for ; i+4 <= len(d); i += 4 {
+					d[i] = xs[i] + c
+					d[i+1] = xs[i+1] + c
+					d[i+2] = xs[i+2] + c
+					d[i+3] = xs[i+3] + c
+				}
+				for ; i < len(d); i++ {
+					d[i] = xs[i] + c
+				}
+			}, true
+		}
+		return func(d, xs, ys []float64) {
+			xs, ys = xs[:len(d)], ys[:len(d)]
 			i := 0
 			for ; i+4 <= len(d); i += 4 {
 				d[i] = xs[i] + ys[i]
@@ -148,21 +155,25 @@ func specFloat64Binary(op bytecode.Opcode, dst, x, y []float64, bcf float64, bCo
 			for ; i < len(d); i++ {
 				d[i] = xs[i] + ys[i]
 			}
-		}
-		kConst = func(d, xs []float64, c float64) {
-			i := 0
-			for ; i+4 <= len(d); i += 4 {
-				d[i] = xs[i] + c
-				d[i+1] = xs[i+1] + c
-				d[i+2] = xs[i+2] + c
-				d[i+3] = xs[i+3] + c
-			}
-			for ; i < len(d); i++ {
-				d[i] = xs[i] + c
-			}
-		}
+		}, true
 	case bytecode.OpSubtract:
-		kArr = func(d, xs, ys []float64) {
+		if b.isConst {
+			return func(d, xs, _ []float64) {
+				xs = xs[:len(d)]
+				i := 0
+				for ; i+4 <= len(d); i += 4 {
+					d[i] = xs[i] - c
+					d[i+1] = xs[i+1] - c
+					d[i+2] = xs[i+2] - c
+					d[i+3] = xs[i+3] - c
+				}
+				for ; i < len(d); i++ {
+					d[i] = xs[i] - c
+				}
+			}, true
+		}
+		return func(d, xs, ys []float64) {
+			xs, ys = xs[:len(d)], ys[:len(d)]
 			i := 0
 			for ; i+4 <= len(d); i += 4 {
 				d[i] = xs[i] - ys[i]
@@ -173,21 +184,25 @@ func specFloat64Binary(op bytecode.Opcode, dst, x, y []float64, bcf float64, bCo
 			for ; i < len(d); i++ {
 				d[i] = xs[i] - ys[i]
 			}
-		}
-		kConst = func(d, xs []float64, c float64) {
-			i := 0
-			for ; i+4 <= len(d); i += 4 {
-				d[i] = xs[i] - c
-				d[i+1] = xs[i+1] - c
-				d[i+2] = xs[i+2] - c
-				d[i+3] = xs[i+3] - c
-			}
-			for ; i < len(d); i++ {
-				d[i] = xs[i] - c
-			}
-		}
+		}, true
 	case bytecode.OpMultiply:
-		kArr = func(d, xs, ys []float64) {
+		if b.isConst {
+			return func(d, xs, _ []float64) {
+				xs = xs[:len(d)]
+				i := 0
+				for ; i+4 <= len(d); i += 4 {
+					d[i] = xs[i] * c
+					d[i+1] = xs[i+1] * c
+					d[i+2] = xs[i+2] * c
+					d[i+3] = xs[i+3] * c
+				}
+				for ; i < len(d); i++ {
+					d[i] = xs[i] * c
+				}
+			}, true
+		}
+		return func(d, xs, ys []float64) {
+			xs, ys = xs[:len(d)], ys[:len(d)]
 			i := 0
 			for ; i+4 <= len(d); i += 4 {
 				d[i] = xs[i] * ys[i]
@@ -198,111 +213,81 @@ func specFloat64Binary(op bytecode.Opcode, dst, x, y []float64, bcf float64, bCo
 			for ; i < len(d); i++ {
 				d[i] = xs[i] * ys[i]
 			}
-		}
-		kConst = func(d, xs []float64, c float64) {
-			i := 0
-			for ; i+4 <= len(d); i += 4 {
-				d[i] = xs[i] * c
-				d[i+1] = xs[i+1] * c
-				d[i+2] = xs[i+2] * c
-				d[i+3] = xs[i+3] * c
-			}
-			for ; i < len(d); i++ {
-				d[i] = xs[i] * c
-			}
-		}
-	default:
-		return nil, false
-	}
-	if !bConst && y != nil {
-		return func(lo, hi int) {
-			kArr(dst[lo:hi], x[lo:hi], y[lo:hi])
-		}, true
-	}
-	if bConst {
-		c := bcf
-		return func(lo, hi int) {
-			kConst(dst[lo:hi], x[lo:hi], c)
 		}, true
 	}
 	return nil, false
 }
 
 // specializedIntBinary dispatches the native int32/int64 forms.
-func specializedIntBinary[T tensor.Elem](op bytecode.Opcode, dst []T, a, b rawSrc[T]) (func(lo, hi int), bool) {
-	switch d := any(dst).(type) {
-	case []int64:
-		x, _ := any(a.arr).([]int64)
-		y, _ := any(b.arr).([]int64)
-		return specIntBinary(op, d, x, y, b.ci, b.arr == nil)
-	case []int32:
-		x, _ := any(a.arr).([]int32)
-		y, _ := any(b.arr).([]int32)
-		return specIntBinary(op, d, x, y, b.ci, b.arr == nil)
+func specializedIntBinary[T tensor.Elem](op bytecode.Opcode, a, b kArg) (kernel[T], bool) {
+	if a.isConst {
+		return nil, false
 	}
-	return nil, false
+	var k any
+	var ok bool
+	switch any(*new(T)).(type) {
+	case int64:
+		k, ok = specIntBinary[int64](op, b)
+	case int32:
+		k, ok = specIntBinary[int32](op, b)
+	}
+	if !ok {
+		return nil, false
+	}
+	return k.(kernel[T]), true
 }
 
 // specIntBinary compiles native-width +,-,* — wrap-exact at any width, so
 // constants need no representability gate: truncating the constant first
 // commutes with truncating the int64-class result.
-func specIntBinary[T int32 | int64](op bytecode.Opcode, dst, x, y []T, bci int64, bConst bool) (func(lo, hi int), bool) {
-	if x == nil {
-		return nil, false
-	}
-	c := T(bci)
+func specIntBinary[T int32 | int64](op bytecode.Opcode, b kArg) (kernel[T], bool) {
+	c := T(b.ci)
 	switch op {
 	case bytecode.OpAdd:
-		if !bConst && y != nil {
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
-				for i := range d {
-					d[i] = xs[i] + ys[i]
-				}
-			}, true
-		}
-		if bConst {
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
+		if b.isConst {
+			return func(d, xs, _ []T) {
+				xs = xs[:len(d)]
 				for i := range d {
 					d[i] = xs[i] + c
 				}
 			}, true
 		}
+		return func(d, xs, ys []T) {
+			xs, ys = xs[:len(d)], ys[:len(d)]
+			for i := range d {
+				d[i] = xs[i] + ys[i]
+			}
+		}, true
 	case bytecode.OpSubtract:
-		if !bConst && y != nil {
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
-				for i := range d {
-					d[i] = xs[i] - ys[i]
-				}
-			}, true
-		}
-		if bConst {
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
+		if b.isConst {
+			return func(d, xs, _ []T) {
+				xs = xs[:len(d)]
 				for i := range d {
 					d[i] = xs[i] - c
 				}
 			}, true
 		}
+		return func(d, xs, ys []T) {
+			xs, ys = xs[:len(d)], ys[:len(d)]
+			for i := range d {
+				d[i] = xs[i] - ys[i]
+			}
+		}, true
 	case bytecode.OpMultiply:
-		if !bConst && y != nil {
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
-				for i := range d {
-					d[i] = xs[i] * ys[i]
-				}
-			}, true
-		}
-		if bConst {
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
+		if b.isConst {
+			return func(d, xs, _ []T) {
+				xs = xs[:len(d)]
 				for i := range d {
 					d[i] = xs[i] * c
 				}
 			}, true
 		}
+		return func(d, xs, ys []T) {
+			xs, ys = xs[:len(d)], ys[:len(d)]
+			for i := range d {
+				d[i] = xs[i] * ys[i]
+			}
+		}, true
 	}
 	return nil, false
 }

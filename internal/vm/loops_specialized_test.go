@@ -47,11 +47,11 @@ func TestSpecFloat32ArrArrBitExact(t *testing.T) {
 	}
 	for _, tc := range ops {
 		dst := make([]float32, len(xs))
-		loop, ok := specializedFloatBinary(tc.op, dst, rawSrc[float32]{arr: xs}, rawSrc[float32]{arr: ys})
+		k, ok := specializedFloatBinary[float32](tc.op, kArg{}, kArg{})
 		if !ok {
 			t.Fatalf("%s: specialized float32 arr-arr kernel missing", tc.op)
 		}
-		loop(0, len(xs))
+		k(dst, xs, ys)
 		for i := range xs {
 			want := float32(tc.k(float64(xs[i]), float64(ys[i])))
 			if math.Float32bits(dst[i]) != math.Float32bits(want) && !(math.IsNaN(float64(dst[i])) && math.IsNaN(float64(want))) {
@@ -68,11 +68,11 @@ func TestSpecFloat32ConstGate(t *testing.T) {
 	// Exactly representable constant: the kernel compiles and matches the
 	// double-rounding reference bitwise.
 	exact := 1.5
-	loop, ok := specializedFloatBinary(bytecode.OpMultiply, dst, rawSrc[float32]{arr: xs}, rawSrc[float32]{cf: exact})
+	k, ok := specializedFloatBinary[float32](bytecode.OpMultiply, kArg{}, kArg{isConst: true, cf: exact})
 	if !ok {
 		t.Fatal("exact float32 constant declined")
 	}
-	loop(0, len(xs))
+	k(dst, xs, nil)
 	for i := range xs {
 		want := float32(float64(xs[i]) * exact)
 		if math.Float32bits(dst[i]) != math.Float32bits(want) && !(math.IsNaN(float64(dst[i])) && math.IsNaN(float64(want))) {
@@ -81,12 +81,12 @@ func TestSpecFloat32ConstGate(t *testing.T) {
 	}
 	// 0.1 is not a float32: the specialization must decline so the generic
 	// double-rounding body keeps the interpreted semantics.
-	if _, ok := specializedFloatBinary(bytecode.OpAdd, dst, rawSrc[float32]{arr: xs}, rawSrc[float32]{cf: 0.1}); ok {
+	if _, ok := specializedFloatBinary[float32](bytecode.OpAdd, kArg{}, kArg{isConst: true, cf: 0.1}); ok {
 		t.Error("inexact float32 constant was not declined")
 	}
 	// Neither is NaN (the gate's c==c comparison fails), which is the
 	// conservative choice.
-	if _, ok := specializedFloatBinary(bytecode.OpAdd, dst, rawSrc[float32]{arr: xs}, rawSrc[float32]{cf: math.NaN()}); ok {
+	if _, ok := specializedFloatBinary[float32](bytecode.OpAdd, kArg{}, kArg{isConst: true, cf: math.NaN()}); ok {
 		t.Error("NaN constant was not declined")
 	}
 }
@@ -113,13 +113,13 @@ func TestSpecFloat64UnrolledBitExact(t *testing.T) {
 	}
 	for _, tc := range ops {
 		dst := make([]float64, len(xs))
-		loop, ok := specializedFloatBinary(tc.op, dst, rawSrc[float64]{arr: xs}, rawSrc[float64]{arr: ys})
+		k, ok := specializedFloatBinary[float64](tc.op, kArg{}, kArg{})
 		if !ok {
 			t.Fatalf("%s: unrolled float64 kernel missing", tc.op)
 		}
 		// Odd sub-ranges exercise both the unrolled body and the tail.
-		loop(0, 7)
-		loop(7, len(xs))
+		k(dst[:7], xs[:7], ys[:7])
+		k(dst[7:], xs[7:], ys[7:])
 		for i := range xs {
 			want := tc.k(xs[i], ys[i])
 			if math.Float64bits(dst[i]) != math.Float64bits(want) && !(math.IsNaN(dst[i]) && math.IsNaN(want)) {
@@ -129,11 +129,11 @@ func TestSpecFloat64UnrolledBitExact(t *testing.T) {
 		// Constant form too.
 		c := 1.0 / 3.0
 		dstC := make([]float64, len(xs))
-		loopC, ok := specializedFloatBinary(tc.op, dstC, rawSrc[float64]{arr: xs}, rawSrc[float64]{cf: c})
+		kC, ok := specializedFloatBinary[float64](tc.op, kArg{}, kArg{isConst: true, cf: c})
 		if !ok {
 			t.Fatalf("%s: unrolled float64 const kernel missing", tc.op)
 		}
-		loopC(0, len(xs))
+		kC(dstC, xs, nil)
 		for i := range xs {
 			want := tc.k(xs[i], c)
 			if math.Float64bits(dstC[i]) != math.Float64bits(want) && !(math.IsNaN(dstC[i]) && math.IsNaN(want)) {
@@ -156,11 +156,11 @@ func TestSpecIntWrapExact(t *testing.T) {
 	}
 	for _, tc := range ops {
 		dst := make([]int32, len(xs32))
-		loop, ok := specializedIntBinary(tc.op, dst, rawSrc[int32]{arr: xs32}, rawSrc[int32]{arr: ys32})
+		k, ok := specializedIntBinary[int32](tc.op, kArg{}, kArg{})
 		if !ok {
 			t.Fatalf("%s: specialized int32 kernel missing", tc.op)
 		}
-		loop(0, len(xs32))
+		k(dst, xs32, ys32)
 		for i := range xs32 {
 			// Reference: the generic body's widen-compute-truncate.
 			want := int32(tc.k(int64(xs32[i]), int64(ys32[i])))
@@ -172,11 +172,11 @@ func TestSpecIntWrapExact(t *testing.T) {
 		// truncate-first evaluation must still match truncate-last.
 		bigC := int64(math.MaxInt32) + 12345
 		dstC := make([]int32, len(xs32))
-		loopC, ok := specializedIntBinary(tc.op, dstC, rawSrc[int32]{arr: xs32}, rawSrc[int32]{ci: bigC})
+		kC, ok := specializedIntBinary[int32](tc.op, kArg{}, kArg{isConst: true, ci: bigC})
 		if !ok {
 			t.Fatalf("%s: specialized int32 const kernel missing", tc.op)
 		}
-		loopC(0, len(xs32))
+		kC(dstC, xs32, nil)
 		for i := range xs32 {
 			want := int32(tc.k(int64(xs32[i]), bigC))
 			if dstC[i] != want {
@@ -187,11 +187,11 @@ func TestSpecIntWrapExact(t *testing.T) {
 		xs64 := []int64{0, 1, -1, math.MaxInt64, math.MinInt64, 1 << 62, -(1 << 62), 2654435761}
 		ys64 := []int64{1, -1, math.MaxInt64, 3, math.MinInt64, 7, -13, 40503}
 		dst64 := make([]int64, len(xs64))
-		loop64, ok := specializedIntBinary(tc.op, dst64, rawSrc[int64]{arr: xs64}, rawSrc[int64]{arr: ys64})
+		k64, ok := specializedIntBinary[int64](tc.op, kArg{}, kArg{})
 		if !ok {
 			t.Fatalf("%s: specialized int64 kernel missing", tc.op)
 		}
-		loop64(0, len(xs64))
+		k64(dst64, xs64, ys64)
 		for i := range xs64 {
 			if want := tc.k(xs64[i], ys64[i]); dst64[i] != want {
 				t.Fatalf("%s int64[%d]: spec %d, reference %d", tc.op, i, dst64[i], want)

@@ -125,9 +125,9 @@ func (m *Machine) execReduce(p *bytecode.Program, in *bytecode.Instruction) erro
 	if err != nil {
 		return err
 	}
-	srcBuf := m.regs.get(in.In1.Reg)
-	if srcBuf == nil {
-		return fmt.Errorf("input register %s has no buffer", in.In1.Reg)
+	srcBuf, err := m.regs.input(p, in.In1.Reg)
+	if err != nil {
+		return err
 	}
 	srcView := in.In1.View
 	reduced, axStride, axLen := removeAxis(srcView, in.Axis)
@@ -209,9 +209,9 @@ func (m *Machine) execArgReduce(p *bytecode.Program, in *bytecode.Instruction) e
 	if err != nil {
 		return err
 	}
-	srcBuf := m.regs.get(in.In1.Reg)
-	if srcBuf == nil {
-		return fmt.Errorf("input register %s has no buffer", in.In1.Reg)
+	srcBuf, err := m.regs.input(p, in.In1.Reg)
+	if err != nil {
+		return err
 	}
 	srcView := in.In1.View
 	reduced, axStride, axLen := removeAxis(srcView, in.Axis)
@@ -377,9 +377,9 @@ func (m *Machine) execScan(p *bytecode.Program, in *bytecode.Instruction) error 
 	if err != nil {
 		return err
 	}
-	srcBuf := m.regs.get(in.In1.Reg)
-	if srcBuf == nil {
-		return fmt.Errorf("input register %s has no buffer", in.In1.Reg)
+	srcBuf, err := m.regs.input(p, in.In1.Reg)
+	if err != nil {
+		return err
 	}
 	srcView := in.In1.View
 	reducedIn, inStride, axLen := removeAxis(srcView, in.Axis)

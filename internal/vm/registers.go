@@ -131,18 +131,58 @@ func (rf *registerFile) get(r bytecode.RegID) tensor.Buffer {
 	return rf.bufs[r]
 }
 
-// ensure returns the buffer for r, materializing it from the declaration if
-// the register has no buffer yet — from the shared recycle pool when a
-// buffer of the right dtype and length is parked there, freshly allocated
-// otherwise.
-func (rf *registerFile) ensure(p *bytecode.Program, r bytecode.RegID) (tensor.Buffer, error) {
-	rf.grow(len(p.Regs))
-	if rf.bufs[r] != nil {
-		return rf.bufs[r], nil
+// input returns the buffer input register r already holds, which must fit
+// p's declaration of r (see checkDecl).
+func (rf *registerFile) input(p *bytecode.Program, r bytecode.RegID) (tensor.Buffer, error) {
+	buf := rf.get(r)
+	if buf == nil {
+		return nil, fmt.Errorf("input register %s has no buffer", r)
 	}
 	info, ok := p.Reg(r)
 	if !ok {
 		return nil, fmt.Errorf("register %s not declared", r)
+	}
+	if err := rf.checkDecl(r, info); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// checkDecl reports whether the buffer r holds fits the current program's
+// declaration of r. Every view of a validated program lies inside its
+// register's declared length, and every compiled loop assumes the declared
+// dtype, so this check is what keeps them inside their buffers. A buffer
+// this file allocated was sized from an earlier declaration and must match
+// the new one exactly: a different dtype or length means the program
+// redeclared a live register (free it first). A buffer bound from outside
+// must have the declared dtype and at least the declared length — callers
+// may bind a larger array and address a prefix of it.
+func (rf *registerFile) checkDecl(r bytecode.RegID, info bytecode.RegInfo) error {
+	buf := rf.bufs[r]
+	n := buf.Len()
+	if buf.DType() == info.DType && (n == info.Len || (!rf.owned[r] && n > info.Len)) {
+		return nil
+	}
+	return fmt.Errorf("register %s is declared %v[%d] but holds a %v[%d] buffer",
+		r, info.DType, info.Len, buf.DType(), n)
+}
+
+// ensure returns the buffer for r, materializing it from the declaration if
+// the register has no buffer yet — from the shared recycle pool when a
+// buffer of the right dtype and length is parked there, freshly allocated
+// otherwise. A buffer r already holds must fit p's declaration (see
+// checkDecl).
+func (rf *registerFile) ensure(p *bytecode.Program, r bytecode.RegID) (tensor.Buffer, error) {
+	rf.grow(len(p.Regs))
+	info, ok := p.Reg(r)
+	if !ok {
+		return nil, fmt.Errorf("register %s not declared", r)
+	}
+	if buf := rf.bufs[r]; buf != nil {
+		if err := rf.checkDecl(r, info); err != nil {
+			return nil, err
+		}
+		return buf, nil
 	}
 	if err := faultinject.Error(faultinject.AllocFail, rf.label); err != nil {
 		return nil, err
