@@ -66,12 +66,12 @@ func TestLinearEpilogueSteadyStateAllocs(t *testing.T) {
 		m, pl := newLinearEpilogue(t, cfg, n)
 		var epi *epiPlan
 		for i := range pl.epis {
-			if pl.epis[i] != nil && pl.clusters[i].linear {
+			if pl.epis[i] != nil {
 				epi = pl.epis[i]
 			}
 		}
 		if epi == nil {
-			t.Fatalf("N=%d: the fold did not plan as a linear epilogue", n)
+			t.Fatalf("N=%d: the fold did not plan as an epilogue", n)
 		}
 		if s := m.sweepStrategyFor(epi.red.Out.View, epi.lines, epi.axLen); s != sweepChunkAxis {
 			t.Fatalf("N=%d: strategy %d, want sweepChunkAxis", n, s)
@@ -212,7 +212,7 @@ func runScratchCase(m *Machine, c scratchCase) ([]uint64, error) {
 	return bits, nil
 }
 
-// TestScratchReuseDifferential interleaves linear-epilogue programs of
+// TestScratchReuseDifferential interleaves epilogue programs of
 // different dtypes, tile sizes and strategies — plus an alias fallback —
 // across concurrent sessions on one engine, whose scratch pool they all
 // share. Every result must be bit-identical to the same program on a
@@ -235,8 +235,8 @@ func TestScratchReuseDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j, epi := range pl.epis {
-			if epi != nil && pl.clusters[j].linear && !epi.red.Op.ArgReduce() {
+		for _, epi := range pl.epis {
+			if epi != nil {
 				strategies[m.sweepStrategyFor(epi.red.Out.View, epi.lines, epi.axLen)] = true
 			}
 		}
@@ -244,7 +244,7 @@ func TestScratchReuseDifferential(t *testing.T) {
 	}
 	for _, s := range []sweepStrategy{sweepSerial, sweepSplitOutputs, sweepChunkAxis} {
 		if !strategies[s] {
-			t.Fatalf("no case runs the linear epilogue with strategy %d", s)
+			t.Fatalf("no case runs the epilogue with strategy %d", s)
 		}
 	}
 

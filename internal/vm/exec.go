@@ -63,9 +63,11 @@ func (m *Machine) resolveSources(p *bytecode.Program, in *bytecode.Instruction, 
 		if err != nil {
 			return nil, err
 		}
-		view, err := opnd.View.BroadcastTo(outShape)
-		if err != nil {
-			return nil, err
+		view := opnd.View
+		if !view.Shape.Equal(outShape) {
+			if view, err = view.BroadcastTo(outShape); err != nil {
+				return nil, err
+			}
 		}
 		srcs[i] = source{buf: buf, view: view}
 	}
@@ -73,21 +75,38 @@ func (m *Machine) resolveSources(p *bytecode.Program, in *bytecode.Instruction, 
 }
 
 // execElementwise runs unary/binary/identity instructions: one sweep over
-// the output view applying the scalar kernel.
+// the output view applying the scalar kernel. Same-dtype instructions run
+// as a one-step row-wise sweep; the accessor interpreter takes the rest.
 func (m *Machine) execElementwise(p *bytecode.Program, in *bytecode.Instruction) error {
-	outBuf, err := m.regs.ensure(p, in.Out.Reg)
+	outBuf, srcs, err := m.elementwiseOperands(p, in)
 	if err != nil {
 		return err
 	}
 	outView := in.Out.View
+	m.stats.instructions.Add(1)
+	m.stats.sweeps.Add(1)
+	m.stats.elements.Add(int64(outView.Size()))
+
+	if m.sweepOne(in.Op, outBuf, outView, srcs) {
+		return nil
+	}
+	return m.slowElementwise(in.Op, outBuf, outView, srcs)
+}
+
+// elementwiseOperands resolves an elementwise instruction's result buffer
+// and sources. NumPy-style overlap protection: if an input aliases the
+// output buffer through a different view, reading and writing in one
+// sweep would be order-dependent — that input is snapshotted first.
+func (m *Machine) elementwiseOperands(p *bytecode.Program, in *bytecode.Instruction) (tensor.Buffer, []source, error) {
+	outBuf, err := m.regs.ensure(p, in.Out.Reg)
+	if err != nil {
+		return nil, nil, err
+	}
+	outView := in.Out.View
 	srcs, err := m.resolveSources(p, in, outView.Shape)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-
-	// NumPy-style overlap protection: if an input aliases the output
-	// buffer through a different view, reading and writing in one sweep
-	// would be order-dependent — snapshot that input first.
 	for i := range srcs {
 		s := &srcs[i]
 		if s.isConst || s.buf != outBuf {
@@ -98,15 +117,38 @@ func (m *Machine) execElementwise(p *bytecode.Program, in *bytecode.Instruction)
 			s.buf, s.view = snap.Buf, snap.View
 		}
 	}
+	return outBuf, srcs, nil
+}
 
-	m.stats.instructions.Add(1)
-	m.stats.sweeps.Add(1)
-	m.stats.elements.Add(int64(outView.Size()))
-
-	if m.fastElementwise(in.Op, outBuf, outView, srcs) {
-		return nil
+// sweepOne runs the instruction as a one-step sweep when the output and
+// every register operand share one dtype, and reports false otherwise:
+// mixed-dtype instructions (casts, promotions) define their conversions
+// on the accessor path, and so does a result view that addresses some
+// element twice, whose last-write-wins order is the interpreter's.
+func (m *Machine) sweepOne(op bytecode.Opcode, out tensor.Buffer, outView tensor.View, srcs []source) bool {
+	if !outView.Contiguous() && !viewInjective(outView) {
+		return false
 	}
-	return m.slowElementwise(in.Op, outBuf, outView, srcs)
+	st := boundStep{op: op, dtype: out.DType(), nargs: len(srcs), dst: memLoc(out, outView),
+		src: [2]operandLoc{noLoc, noLoc}}
+	for i, s := range srcs {
+		if s.isConst {
+			st.args[i] = kArg{isConst: true, cf: s.cf, ci: s.ci}
+			continue
+		}
+		// Class semantics are defined per instruction dtype; an input
+		// stored as another dtype (even one with the same storage width)
+		// falls back.
+		if s.buf.DType() != out.DType() {
+			return false
+		}
+		st.src[i] = memLoc(s.buf, s.view)
+	}
+	if st.compile() != nil {
+		return false
+	}
+	m.sweep(outView.Shape, []boundStep{st})
+	return true
 }
 
 // useIntClass decides whether an instruction computes in exact int64

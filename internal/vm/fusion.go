@@ -22,12 +22,12 @@ import (
 //     both (otherwise element i of one is element j≠i of the other, and
 //     per-element interleaving would reorder a cross-element dependence).
 //
-// Fully contiguous clusters run over raw slices (execCluster); strided
-// clusters — stencils, sliced views — run with multi-cursor odometer
-// iteration (execClusterStrided). A full or last-axis reduction that
-// consumes the cluster's output extends the cluster as an epilogue: the
-// producer chain folds into the reduction's accumulation loop
-// (execClusterReduce) and dead producer temporaries are never
+// Every cluster runs as one row-wise sweep (sweep.go) over its shared
+// iteration shape: contiguous clusters collapse to a single row, stencils
+// and sliced views keep one row per constant-stride run. A reduction over
+// any axis that consumes the cluster's output extends the cluster as an
+// epilogue: the producer chain folds into the reduction's accumulation
+// loop (execClusterReduce) and dead producer temporaries are never
 // materialized. System byte-codes, other reductions, extensions, and
 // RANDOM end a cluster.
 
@@ -36,7 +36,6 @@ type cluster struct {
 	start, end int // [start, end) in p.Instrs
 	fused      bool
 	shape      tensor.Shape // shared iteration shape when fused
-	linear     bool         // every operand contiguous: raw-slice path
 	reduce     bool         // p.Instrs[end-1] is a reduction epilogue
 }
 
@@ -45,7 +44,7 @@ func (m *Machine) planClusters(p *bytecode.Program) []cluster {
 	var out []cluster
 	i := 0
 	for i < len(p.Instrs) {
-		shape, linear, fusible := m.fusibleAt(p, i)
+		shape, fusible := m.fusibleAt(p, i)
 		if !fusible {
 			out = append(out, cluster{start: i, end: i + 1})
 			i++
@@ -58,15 +57,14 @@ func (m *Machine) planClusters(p *bytecode.Program) []cluster {
 		acc.record(&p.Instrs[i])
 		j := i + 1
 		for j < len(p.Instrs) {
-			shape2, linear2, ok := m.fusibleAt(p, j)
+			shape2, ok := m.fusibleAt(p, j)
 			if !ok || !shape2.Equal(shape) || !acc.compatible(&p.Instrs[j]) {
 				break
 			}
-			linear = linear && linear2
 			acc.record(&p.Instrs[j])
 			j++
 		}
-		cl := cluster{start: i, end: j, fused: j-i > 1, shape: shape, linear: linear}
+		cl := cluster{start: i, end: j, fused: j-i > 1, shape: shape}
 		if j < len(p.Instrs) && reduceEpilogueAt(p, cl, j) {
 			cl.end = j + 1
 			cl.fused = true
@@ -80,22 +78,21 @@ func (m *Machine) planClusters(p *bytecode.Program) []cluster {
 }
 
 // fusibleAt reports whether instruction i qualifies for fused execution,
-// returning its iteration shape and whether all operands are contiguous.
-func (m *Machine) fusibleAt(p *bytecode.Program, i int) (tensor.Shape, bool, bool) {
+// returning its iteration shape.
+func (m *Machine) fusibleAt(p *bytecode.Program, i int) (tensor.Shape, bool) {
 	in := &p.Instrs[i]
 	if !in.Op.Elementwise() || len(in.Inputs()) == 0 {
-		return nil, false, false
+		return nil, false
 	}
 	if !in.Out.IsReg() || !viewInjective(in.Out.View) {
-		return nil, false, false
+		return nil, false
 	}
 	ri, ok := p.Reg(in.Out.Reg)
 	if !ok || !ri.DType.Valid() {
-		return nil, false, false
+		return nil, false
 	}
 	dt := ri.DType
 	shape := in.Out.View.Shape
-	linear := in.Out.View.Contiguous()
 	for _, opnd := range in.Inputs() {
 		if !opnd.IsReg() {
 			continue
@@ -104,21 +101,18 @@ func (m *Machine) fusibleAt(p *bytecode.Program, i int) (tensor.Shape, bool, boo
 		if !ok || si.DType != dt {
 			// Mixed-dtype steps (casts, promoted operands) keep the
 			// accessor path, which defines the conversion semantics.
-			return nil, false, false
+			return nil, false
 		}
 		if !opnd.View.Shape.BroadcastableTo(shape) {
-			return nil, false, false
-		}
-		if !opnd.View.Shape.Equal(shape) || !opnd.View.Contiguous() {
-			linear = false
+			return nil, false
 		}
 		// A misaligned self-overlap needs the snapshot the unfused path
 		// takes; keep such instructions out of fused sweeps.
 		if opnd.Reg == in.Out.Reg && !opnd.View.Equal(in.Out.View) && opnd.View.Overlaps(in.Out.View) {
-			return nil, false, false
+			return nil, false
 		}
 	}
-	return shape, linear, true
+	return shape, true
 }
 
 // reduceEpilogueAt reports whether the reduction at index j can fold the
@@ -173,10 +167,10 @@ func reduceEpilogueAt(p *bytecode.Program, cl cluster, j int) bool {
 }
 
 // accessTracker records per-register read and write views inside a
-// cluster. Fused per-element execution preserves step order *within* an
-// element, so the only cross-element hazard is a register accessed through
-// two views where the same buffer slot maps to different iteration
-// indices — i.e. a WRITE view overlapping any other non-equal view.
+// cluster. A fused sweep preserves step order *within* a block, so the
+// only cross-element hazard is a register accessed through two views
+// where the same buffer slot maps to different iteration indices — i.e. a
+// WRITE view overlapping any other non-equal view.
 // Overlapping reads (the stencil's north/south/east/west windows) are
 // always safe.
 type accessTracker struct {
@@ -229,10 +223,10 @@ func (a *accessTracker) compatible(in *bytecode.Instruction) bool {
 	return true
 }
 
-// fusedBlockSize is the tile width (in elements) for fused contiguous
-// sweeps: each step's compiled loop runs over one L1-resident block before
-// the next step touches it, giving the locality a JIT-compiled kernel
-// would get without per-element dispatch. 8192 float64s = 64 KiB.
+// fusedBlockSize is the tile width (in elements) of every sweep: each
+// step's compiled kernel runs over one L1-resident block before the next
+// step touches it, giving the locality a JIT-compiled kernel would get
+// without per-element dispatch. 8192 float64s = 64 KiB.
 const fusedBlockSize = 8192
 
 // instrErr annotates err with the index and disassembly of the failing
@@ -247,7 +241,7 @@ func (m *Machine) execCluster(p *bytecode.Program, cl cluster) error {
 	steps := make([]boundStep, cl.end-cl.start)
 	for i := cl.start; i < cl.end; i++ {
 		st := &steps[i-cl.start]
-		if err := m.locateStep(p, i, st); err != nil {
+		if err := m.locateStep(p, i, cl.shape, st); err != nil {
 			return instrErr(p, i, err)
 		}
 		if err := st.compile(); err != nil {
@@ -260,12 +254,7 @@ func (m *Machine) execCluster(p *bytecode.Program, cl cluster) error {
 	m.countFusedDTypes(p, cl.start, cl.end)
 	m.stats.sweeps.Add(1)
 	m.stats.elements.Add(int64(n * len(steps)))
-
-	m.par.parallelFor(n, m.cfg.ParallelThreshold, func(lo, hi int) {
-		for blockLo := lo; blockLo < hi; blockLo += fusedBlockSize {
-			runSteps(steps, nil, blockLo, min(fusedBlockSize, hi-blockLo))
-		}
-	})
+	m.sweep(cl.shape, steps)
 	return nil
 }
 
@@ -279,45 +268,66 @@ func (m *Machine) countFusedDTypes(p *bytecode.Program, start, end int) {
 	}
 }
 
-// Bound steps: the contiguous sweeps — fused clusters and the linear
-// reduction epilogue — bind each instruction once per sweep into a
+// Bound steps: every sweep binds each instruction once into a
 // dtype-erased kernel plus one locator per operand. A block then only
-// slices its windows and calls the kernel, so the hot loop builds no
+// resolves its windows and calls the kernel, so the hot loop builds no
 // closures and allocates nothing.
 
-// stepKernel is a kernel with its storage type erased, so the steps of
-// one sweep, which may differ in dtype, share one slice. Each window is
-// a (buffer, start) pair of n elements; a nil buffer is an operand the
-// kernel does not read (a bound constant, or y of a unary op).
-type stepKernel func(d, x, y tensor.Buffer, dOff, xOff, yOff, n int)
+// span is one operand's window for a block: n elements stride apart in
+// buf from off. A run whose stride is not 1 is staged through tile. A nil
+// buf is an operand the kernel does not read (a bound constant, or y of a
+// unary op).
+type span struct {
+	buf         tensor.Buffer
+	off, stride int
+	tile        tensor.Buffer
+}
 
-// operandLoc locates one step operand for the flat element block
-// [gLo, gLo+n): a scratch slot, whose window starts at 0; a memory
-// buffer, whose window starts at off+gLo; or nothing (buf nil, slot < 0)
-// for a constant bound into the kernel.
+// stepKernel is a kernel with its storage type erased, so the steps of
+// one sweep, which may differ in dtype, share one slice.
+type stepKernel func(d, x, y span, n int)
+
+// operandLoc locates one step operand: a scratch slot, whose window
+// starts at 0 in every block; a memory buffer addressed through view over
+// the sweep's iteration shape, advancing by step along a row; or nothing
+// (buf nil, slot < 0) for a constant bound into the kernel.
 type operandLoc struct {
 	slot int // >= 0: scratch slot
 	buf  tensor.Buffer
-	off  int
+	view tensor.View
+	step int // stride along a row, set by layoutSteps
+	tile int // >= 0: scratch slot staging a run whose step is not 1
 }
 
 // noLoc locates nothing; memLoc locates an operand in real memory.
-var noLoc = operandLoc{slot: -1}
+var noLoc = operandLoc{slot: -1, tile: -1}
 
-func memLoc(buf tensor.Buffer, off int) operandLoc { return operandLoc{slot: -1, buf: buf, off: off} }
-
-// window resolves the locator for the block starting at gLo.
-func (l *operandLoc) window(scratch []tensor.Buffer, gLo int) (tensor.Buffer, int) {
-	if l.slot >= 0 {
-		return scratch[l.slot], 0
-	}
-	return l.buf, l.off + gLo
+func memLoc(buf tensor.Buffer, v tensor.View) operandLoc {
+	return operandLoc{slot: -1, tile: -1, buf: buf, view: v}
 }
 
-// boundStep is one contiguous instruction bound for blockwise execution.
-// Register buffers come from the register file, which guarantees each
-// matches the program's declaration, so every window lies inside its
-// buffer and has the step's storage type.
+// inMemory reports whether the locator addresses a memory buffer.
+func (l *operandLoc) inMemory() bool { return l.slot < 0 && l.buf != nil }
+
+// span resolves the locator for the block starting at element c of row r.
+func (l *operandLoc) span(scratch []tensor.Buffer, lay *rowLayout, r, c int) span {
+	if !l.inMemory() {
+		if l.slot >= 0 {
+			return span{buf: scratch[l.slot], stride: 1}
+		}
+		return span{}
+	}
+	s := span{buf: l.buf, off: lay.rowStart(&l.view, r) + c*l.step, stride: l.step}
+	if l.tile >= 0 {
+		s.tile = scratch[l.tile]
+	}
+	return s
+}
+
+// boundStep is one instruction bound for blockwise execution. Register
+// buffers come from the register file, which guarantees each matches the
+// program's declaration, so every window lies inside its buffer and has
+// the step's storage type.
 type boundStep struct {
 	index int // instruction index, for error reports
 	op    bytecode.Opcode
@@ -329,8 +339,9 @@ type boundStep struct {
 	kern  stepKernel
 }
 
-// locateStep binds instruction i with every register operand in memory.
-func (m *Machine) locateStep(p *bytecode.Program, i int, st *boundStep) error {
+// locateStep binds instruction i with every register operand in memory,
+// its view broadcast to the cluster's iteration shape.
+func (m *Machine) locateStep(p *bytecode.Program, i int, shape tensor.Shape, st *boundStep) error {
 	in := &p.Instrs[i]
 	ri, _ := p.Reg(in.Out.Reg)
 	*st = boundStep{index: i, op: in.Op, dtype: ri.DType, src: [2]operandLoc{noLoc, noLoc}}
@@ -338,7 +349,7 @@ func (m *Machine) locateStep(p *bytecode.Program, i int, st *boundStep) error {
 	if err != nil {
 		return err
 	}
-	st.dst = memLoc(buf, in.Out.View.Offset)
+	st.dst = memLoc(buf, in.Out.View)
 	inputs := in.Inputs()
 	st.nargs = len(inputs)
 	for j, opnd := range inputs {
@@ -350,12 +361,19 @@ func (m *Machine) locateStep(p *bytecode.Program, i int, st *boundStep) error {
 		if err != nil {
 			return err
 		}
-		st.src[j] = memLoc(buf, opnd.View.Offset)
+		view := opnd.View
+		if !view.Shape.Equal(shape) {
+			if view, err = view.BroadcastTo(shape); err != nil {
+				return err
+			}
+		}
+		st.src[j] = memLoc(buf, view)
 	}
 	return nil
 }
 
-// compile compiles the step's kernel for its storage dtype.
+// compile compiles the step's kernel for its storage dtype — the one
+// dtype dispatch of every sweep.
 func (st *boundStep) compile() error {
 	var ok bool
 	args := st.args[:st.nargs]
@@ -379,15 +397,41 @@ func (st *boundStep) compile() error {
 	return nil
 }
 
-// eraseKernel compiles a typed kernel and wraps it as a stepKernel.
+// eraseKernel compiles a typed kernel and wraps it as a stepKernel that
+// gathers strided input runs into their tiles, and scatters a strided
+// result run from its tile after the kernel ran.
 func eraseKernel[T tensor.Elem](dt tensor.DType, op bytecode.Opcode, args []kArg) (stepKernel, bool) {
 	k, ok := compileKernel[T](dt, op, args)
 	if !ok {
 		return nil, false
 	}
-	return func(d, x, y tensor.Buffer, dOff, xOff, yOff, n int) {
-		k(rawWindow[T](d, dOff, n), rawWindow[T](x, xOff, n), rawWindow[T](y, yOff, n))
+	return func(d, x, y span, n int) {
+		if d.stride == 1 {
+			k(rawWindow[T](d.buf, d.off, n), gather[T](x, n), gather[T](y, n))
+			return
+		}
+		t := rawWindow[T](d.tile, 0, n)
+		k(t, gather[T](x, n), gather[T](y, n))
+		raw, _ := tensor.RawSlice[T](d.buf)
+		for i, j := 0, d.off; i < n; i, j = i+1, j+d.stride {
+			raw[j] = t[i]
+		}
 	}, true
+}
+
+// gather returns the span's n elements as one slice: the buffer window
+// itself at unit stride, otherwise a copy staged in the span's tile. Nil
+// for a nil buffer.
+func gather[T tensor.Elem](s span, n int) []T {
+	if s.buf == nil || s.stride == 1 {
+		return rawWindow[T](s.buf, s.off, n)
+	}
+	raw, _ := tensor.RawSlice[T](s.buf)
+	t := rawWindow[T](s.tile, 0, n)
+	for i, j := 0, s.off; i < n; i, j = i+1, j+s.stride {
+		t[i] = raw[j]
+	}
+	return t
 }
 
 // rawWindow is buf's typed window [off, off+n), or nil for a nil buffer.
@@ -399,14 +443,12 @@ func rawWindow[T tensor.Elem](buf tensor.Buffer, off, n int) []T {
 	return raw[off : off+n]
 }
 
-// runSteps executes every bound step over the flat element block
-// [gLo, gLo+n), in program order.
-func runSteps(steps []boundStep, scratch []tensor.Buffer, gLo, n int) {
+// runSteps executes every bound step over the block of n elements
+// starting at element c of row r, in program order.
+func runSteps(steps []boundStep, scratch []tensor.Buffer, lay *rowLayout, r, c, n int) {
 	for i := range steps {
 		st := &steps[i]
-		d, dOff := st.dst.window(scratch, gLo)
-		x, xOff := st.src[0].window(scratch, gLo)
-		y, yOff := st.src[1].window(scratch, gLo)
-		st.kern(d, x, y, dOff, xOff, yOff, n)
+		st.kern(st.dst.span(scratch, lay, r, c), st.src[0].span(scratch, lay, r, c),
+			st.src[1].span(scratch, lay, r, c), n)
 	}
 }

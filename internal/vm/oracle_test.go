@@ -56,20 +56,9 @@ func runReference(m *Machine, p *bytecode.Program) error {
 // execReference is execElementwise with the accessor interpreter as the
 // only executor.
 func (m *Machine) execReference(p *bytecode.Program, in *bytecode.Instruction) error {
-	outBuf, err := m.regs.ensure(p, in.Out.Reg)
+	outBuf, srcs, err := m.elementwiseOperands(p, in)
 	if err != nil {
 		return err
-	}
-	srcs, err := m.resolveSources(p, in, in.Out.View.Shape)
-	if err != nil {
-		return err
-	}
-	for i := range srcs {
-		s := &srcs[i]
-		if !s.isConst && s.buf == outBuf && !s.view.Equal(in.Out.View) && s.view.Overlaps(in.Out.View) {
-			snap := (tensor.Tensor{Buf: s.buf, View: s.view}).Compact()
-			s.buf, s.view = snap.Buf, snap.View
-		}
 	}
 	return m.slowElementwise(in.Op, outBuf, in.Out.View, srcs)
 }

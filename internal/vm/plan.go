@@ -146,14 +146,12 @@ func (pl *Plan) Execute(m *Machine) error {
 		switch {
 		case cl.reduce:
 			err = m.execClusterReduce(p, cl, pl.epis[i])
-		case !cl.fused:
+		case cl.fused:
+			err = m.execCluster(p, cl)
+		default:
 			if err = m.exec(p, &p.Instrs[cl.start]); err != nil {
 				err = instrErr(p, cl.start, err)
 			}
-		case cl.linear:
-			err = m.execCluster(p, cl)
-		default:
-			err = m.execClusterStrided(p, cl, cl.shape)
 		}
 		if err != nil {
 			return fmt.Errorf("%w: cluster [%d,%d): %w", ErrExec, cl.start, cl.end, err)

@@ -235,27 +235,32 @@ func (m *Machine) execArgReduce(p *bytecode.Program, in *bytecode.Instruction) e
 	}
 
 	if !srcBuf.DType().IsFloat() {
-		better := func(v, best int64) bool { return v < best }
-		if in.Op == bytecode.OpArgmaxReduce {
-			better = func(v, best int64) bool { return v > best }
-		}
-		runArgReduce(m.par, strategy, better, tensor.Buffer.GetInt,
+		runArgReduce(m.par, strategy, argBetterInt(in.Op), tensor.Buffer.GetInt,
 			outBuf, srcBuf, outView, reduced, axStride, axLen)
 		return nil
 	}
-	// NumPy NaN rule: a NaN displaces any number, nothing displaces the
-	// carried NaN (v<best and v>best are false when either is NaN).
-	better := func(v, best float64) bool {
-		return v < best || (math.IsNaN(v) && !math.IsNaN(best))
-	}
-	if in.Op == bytecode.OpArgmaxReduce {
-		better = func(v, best float64) bool {
-			return v > best || (math.IsNaN(v) && !math.IsNaN(best))
-		}
-	}
-	runArgReduce(m.par, strategy, better, tensor.Buffer.Get,
+	runArgReduce(m.par, strategy, argBetterFloat(in.Op), tensor.Buffer.Get,
 		outBuf, srcBuf, outView, reduced, axStride, axLen)
 	return nil
+}
+
+// argBetterInt is an index reduction's exact int64-class comparison:
+// whether v displaces the carried best.
+func argBetterInt(op bytecode.Opcode) func(v, best int64) bool {
+	if op == bytecode.OpArgmaxReduce {
+		return func(v, best int64) bool { return v > best }
+	}
+	return func(v, best int64) bool { return v < best }
+}
+
+// argBetterFloat is the float64-class comparison with the NumPy NaN rule:
+// a NaN displaces any number, nothing displaces the carried NaN (v<best
+// and v>best are false when either is NaN).
+func argBetterFloat(op bytecode.Opcode) func(v, best float64) bool {
+	if op == bytecode.OpArgmaxReduce {
+		return func(v, best float64) bool { return v > best || (math.IsNaN(v) && !math.IsNaN(best)) }
+	}
+	return func(v, best float64) bool { return v < best || (math.IsNaN(v) && !math.IsNaN(best)) }
 }
 
 // runArgReduce executes one index reduction with the chosen strategy.
