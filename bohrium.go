@@ -77,7 +77,7 @@ type Config struct {
 	Async bool
 	// AsyncDepth caps how many compiled batches may queue between the
 	// recording goroutine and the executor before Submit blocks
-	// (backpressure). Zero selects vm.DefaultAsyncDepth. Ignored unless
+	// (backpressure). Zero selects backend.DefaultAsyncDepth. Ignored unless
 	// Async is set.
 	AsyncDepth int
 	// Backend selects the execution backend by registered name. The empty

@@ -10,9 +10,14 @@ import (
 	"bohrium/internal/vm"
 )
 
+// DefaultAsyncDepth is the submit-queue depth when NewExecutor callers
+// pass zero: how many compiled batches may sit between the recording
+// goroutine and the executing one before Submit applies backpressure.
+const DefaultAsyncDepth = 8
+
 // Executor runs backend plans on a background goroutine so a front end
-// can record batch N+1 while batch N executes — the seam-level twin of
-// vm.Executor, with identical semantics over any Backend. Exactly one
+// can record batch N+1 while batch N executes — the async half of the
+// submit/wait pipeline, over any Backend. Exactly one
 // goroutine (the "recorder") may call Submit, SubmitCtx, Wait, WaitCtx
 // and Close; the executor goroutine is the only one driving the
 // backend's register state while jobs are in flight. The recorder keeps
@@ -46,13 +51,13 @@ type Executor struct {
 }
 
 // NewExecutor starts a background executor for b with the given queue
-// depth (0 selects vm.DefaultAsyncDepth). label names the session for
+// depth (0 selects DefaultAsyncDepth). label names the session for
 // fault-injection targeting (empty matches any armed fault). Close the
 // executor before closing the backend: the backend must outlive every
 // in-flight plan.
 func NewExecutor(b Backend, depth int, label string) *Executor {
 	if depth <= 0 {
-		depth = vm.DefaultAsyncDepth
+		depth = DefaultAsyncDepth
 	}
 	e := &Executor{b: b, label: label, jobs: make(chan Plan, depth), done: make(chan struct{})}
 	go e.loop()

@@ -86,7 +86,7 @@ type Config struct {
 	WaitTimeout time.Duration
 	// QueueDepth is each async session's executor queue depth — how many
 	// batches may sit submitted-not-yet-executed before submissions block
-	// and then shed (0: vm.DefaultAsyncDepth).
+	// and then shed (0: backend.DefaultAsyncDepth).
 	QueueDepth int
 	// RetryAfterSeconds is the backoff hint attached to every shed
 	// response, in the Retry-After header and the envelope (0: one

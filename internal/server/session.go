@@ -214,7 +214,7 @@ type registry struct {
 	defaultBackend string           // immutable after newRegistry
 	quotas         Quotas           // immutable after newRegistry
 	now            func() time.Time // immutable after newRegistry
-	queueDepth     int              // immutable after newRegistry: async executor queue depth (0: vm.DefaultAsyncDepth)
+	queueDepth     int              // immutable after newRegistry: async executor queue depth (0: backend.DefaultAsyncDepth)
 
 	mu       sync.Mutex
 	sessions map[string]*session     // guarded by mu

@@ -136,7 +136,7 @@ func (m *Machine) ReleaseRegisters() {
 
 // CountPipelined adds one plan execution to the Pipelined counter — the
 // stats hook for executors that run backend plans on a background
-// goroutine (the machine-level Executor counts through the same counter).
+// goroutine (backend.Executor).
 func (m *Machine) CountPipelined() { m.stats.pipelined.Add(1) }
 
 // CountChunks adds n streamed tiles to the Chunks counter — the stats

@@ -252,3 +252,26 @@ func TestPlanCacheDisabled(t *testing.T) {
 		t.Errorf("disabled cache counted: %+v", st)
 	}
 }
+
+// TestLookupBakedExactVectorOnly: baked (non-parametric) entries match
+// only their exact constant vector, and an exact-vector hit returns the
+// stored plan itself — no clone, no patch.
+func TestLookupBakedExactVectorOnly(t *testing.T) {
+	m := New(Config{})
+	defer m.Close()
+	prog := planTestProg(3)
+	pl, err := m.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InsertPlan(prog.Fingerprint(), prog.Constants(), false, pl, nil)
+
+	got, _, ok := m.LookupPlan(prog.Fingerprint(), prog.Constants(), nil)
+	if !ok || got != pl {
+		t.Errorf("exact-vector baked lookup: ok=%v samePlan=%v, want hit on the stored plan", ok, got == pl)
+	}
+	other := planTestProg(4)
+	if _, _, ok := m.LookupPlan(other.Fingerprint(), other.Constants(), nil); ok {
+		t.Error("baked entry matched a different constant vector")
+	}
+}

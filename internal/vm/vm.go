@@ -78,8 +78,8 @@ const DefaultParallelThreshold = 1 << 15
 // so a lazy front-end can flush incrementally. Machine is not safe for
 // general concurrent use — one goroutine drives it, parallelism happens
 // inside Run — but it supports exactly one sanctioned split: a recording
-// goroutine that compiles and looks up plans while an Executor goroutine
-// executes them (see async.go for the ownership rules). Counters are
+// goroutine that compiles and looks up plans while an executor goroutine
+// (backend.Executor) executes them. Counters are
 // atomic so both sides may count. Different Machines on one shared Engine
 // may run fully concurrently: everything they share (worker pool, plan
 // cache, buffer pool) is concurrency-safe, and everything per-session
@@ -167,7 +167,7 @@ type Stats struct {
 	PlanMisses int
 	// PlanEvictions counts plans the LRU dropped when over capacity.
 	PlanEvictions int
-	// Pipelined counts plans executed on a background Executor goroutine
+	// Pipelined counts plans executed on a background executor goroutine
 	// (async submit/wait pipelining) rather than on the caller.
 	Pipelined int
 	// Chunks counts the tiles an out-of-core backend streamed through the
@@ -210,7 +210,7 @@ func (s *Stats) Accumulate(o Stats) {
 
 // atomicStats is the Machine's internal counter set. The counters are
 // atomics because the pipelined flush mode splits the machine across two
-// goroutines — the recorder counts plan-cache traffic while the Executor
+// goroutines — the recorder counts plan-cache traffic while the executor
 // counts sweeps and buffer work — and Stats() may be read while both are
 // active. snapshot assembles the exported value type.
 type atomicStats struct {
@@ -295,7 +295,7 @@ func New(cfg Config) *Machine {
 }
 
 // Stats returns a snapshot of the cumulative execution counters. It is
-// safe to call while an Executor is running plans in the background; for
+// safe to call while an executor is running plans in the background; for
 // deterministic numbers, Wait on the executor first.
 func (m *Machine) Stats() Stats { return m.stats.snapshot() }
 
