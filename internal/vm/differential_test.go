@@ -10,9 +10,10 @@ import (
 )
 
 // Differential tests: every elementwise op-code must produce identical
-// results through the contiguous fast path and the strided slow path, and
-// match a scalar Go reference on spot values. This pins the kernel table
-// against both dispatch layers.
+// results through the row-wise sweep on contiguous and on strided views,
+// and through the accessor interpreter (runReference), and match a scalar
+// Go reference on spot values. This pins the kernel table against both
+// executors.
 
 // refBinary mirrors the float kernel semantics in plain Go.
 func refBinary(op bytecode.Opcode, a, b float64) float64 {
@@ -62,16 +63,17 @@ BH_IDENTITY a1 [1:` + itoa(2*n+1) + `:2] a1 [0:` + itoa(n) + `:1]
 ` + op.String() + ` a2 [0:` + n2 + `:2] a0 [0:` + n2 + `:2] a1 [1:` + itoa(2*n+1) + `:2]
 BH_SYNC a2
 `
-			ms := run(t, Config{}, strided)
-			tt, ok := ms.Tensor(2, mustView(0, tensor.MustShape(n), []int{2}))
-			if !ok {
-				t.Fatal("strided result missing")
-			}
-			slow := tt.Float64Slice()
-
-			for i := 0; i < n; i++ {
-				if fast[i] != slow[i] && !(math.IsNaN(fast[i]) && math.IsNaN(slow[i])) {
-					t.Fatalf("element %d: fast %v, strided %v", i, fast[i], slow[i])
+			view := mustView(0, tensor.MustShape(n), []int{2})
+			for _, ms := range []*Machine{run(t, Config{}, strided), runRef(t, strided)} {
+				tt, ok := ms.Tensor(2, view)
+				if !ok {
+					t.Fatal("strided result missing")
+				}
+				slow := tt.Float64Slice()
+				for i := 0; i < n; i++ {
+					if fast[i] != slow[i] && !(math.IsNaN(fast[i]) && math.IsNaN(slow[i])) {
+						t.Fatalf("element %d: fast %v, strided %v", i, fast[i], slow[i])
+					}
 				}
 			}
 			// Spot-check against the scalar reference.
@@ -133,15 +135,17 @@ BH_MULTIPLY a0 a0 3.0
 ` + op.String() + ` a1 [1:` + itoa(2*n+1) + `:2] a0 [0:` + itoa(n) + `:1]
 BH_SYNC a1 [1:` + itoa(2*n+1) + `:2]
 `
-			ms := run(t, Config{}, strided)
-			tt, ok := ms.Tensor(1, mustView(1, tensor.MustShape(n), []int{2}))
-			if !ok {
-				t.Fatal("strided result missing")
-			}
-			slow := tt.Float64Slice()
-			for i := 0; i < n; i++ {
-				if fast[i] != slow[i] && !(math.IsNaN(fast[i]) && math.IsNaN(slow[i])) {
-					t.Fatalf("element %d: fast %v, strided %v", i, fast[i], slow[i])
+			view := mustView(1, tensor.MustShape(n), []int{2})
+			for _, ms := range []*Machine{run(t, Config{}, strided), runRef(t, strided)} {
+				tt, ok := ms.Tensor(1, view)
+				if !ok {
+					t.Fatal("strided result missing")
+				}
+				slow := tt.Float64Slice()
+				for i := 0; i < n; i++ {
+					if fast[i] != slow[i] && !(math.IsNaN(fast[i]) && math.IsNaN(slow[i])) {
+						t.Fatalf("element %d: fast %v, strided %v", i, fast[i], slow[i])
+					}
 				}
 			}
 		})

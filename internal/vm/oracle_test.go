@@ -53,6 +53,22 @@ func runReference(m *Machine, p *bytecode.Program) error {
 	return nil
 }
 
+// runRef assembles src and executes it on a fresh machine through
+// runReference.
+func runRef(t *testing.T, src string) *Machine {
+	t.Helper()
+	p, err := bytecode.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(Config{})
+	t.Cleanup(m.Close)
+	if err := runReference(m, p); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // execReference is execElementwise with the accessor interpreter as the
 // only executor.
 func (m *Machine) execReference(p *bytecode.Program, in *bytecode.Instruction) error {
