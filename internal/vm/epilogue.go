@@ -130,32 +130,32 @@ func axisLast(v tensor.View, axis int) tensor.View {
 }
 
 // bindEpilogue locates every operand of the plan's steps for one sweep —
-// a scratch slot, a memory view, or a constant — and lays the sweep out
-// in rows. Kernels compile separately (boundStep.compile), after the
-// caller's alias check.
+// a scratch slot, a memory view, or a constant —, compiles each step, and
+// lays the sweep out in rows.
 func (m *Machine) bindEpilogue(p *bytecode.Program, plan *epiPlan) (*epiSweep, error) {
 	// The full slice expression makes any append copy: the plan is shared.
 	sw := &epiSweep{steps: make([]boundStep, len(plan.steps)), slots: plan.slotDT[:len(plan.slotDT):len(plan.slotDT)]}
 	for i := range plan.steps {
 		sd := &plan.steps[i]
 		st := &sw.steps[i]
-		*st = boundStep{index: sd.index, op: sd.in.Op, dtype: sd.dtype, nargs: len(sd.srcs), src: [2]operandLoc{noLoc, noLoc}}
+		*st = boundStep{op: sd.in.Op, dtype: sd.dtype, src: [2]operandLoc{noLoc, noLoc}}
+		var args [2]kArg
 		if sd.matDst {
 			buf, err := m.regs.ensure(p, sd.in.Out.Reg)
 			if err != nil {
 				return nil, instrErr(p, sd.index, err)
 			}
-			st.dst = memLoc(buf, sd.outView)
+			st.dst = memLoc(buf, &sd.outView)
 		} else {
-			st.dst = operandLoc{slot: sd.outSlot, tile: -1}
+			st.dst = slotLoc(sd.outSlot)
 		}
 		for j := range sd.srcs {
 			d := &sd.srcs[j]
 			switch {
 			case d.isConst:
-				st.args[j] = kArg{isConst: true, cf: d.cf, ci: d.ci}
+				args[j] = kArg{isConst: true, cf: d.cf, ci: d.ci}
 			case d.slot >= 0 && !plan.mat[d.reg]:
-				st.src[j] = operandLoc{slot: d.slot, tile: -1}
+				st.src[j] = slotLoc(d.slot)
 			default:
 				// Memory read: an external register, or a cluster-written
 				// register that materializes — its values land in real
@@ -170,18 +170,21 @@ func (m *Machine) bindEpilogue(p *bytecode.Program, plan *epiPlan) (*epiSweep, e
 				if err != nil {
 					return nil, instrErr(p, sd.index, err)
 				}
-				st.src[j] = memLoc(buf, d.view)
+				st.src[j] = memLoc(buf, &d.view)
 			}
 		}
+		if err := st.compile(args[:len(sd.srcs)]); err != nil {
+			return nil, instrErr(p, sd.index, err)
+		}
 	}
-	sw.src = operandLoc{slot: plan.pSlot, tile: -1}
+	sw.src = slotLoc(plan.pSlot)
 	pReg := plan.red.In1.Reg
 	if plan.mat[pReg] {
 		pBuf, err := m.regs.ensure(p, pReg)
 		if err != nil {
 			return nil, instrErr(p, plan.redIdx, err)
 		}
-		sw.src = memLoc(pBuf, plan.pView)
+		sw.src = memLoc(pBuf, &plan.pView)
 	}
 	sw.lay, sw.slots = layoutSteps(plan.sweep, sw.steps, sw.slots, &sw.src)
 	if sw.src.slot < 0 && sw.src.step != 1 {
@@ -191,10 +194,13 @@ func (m *Machine) bindEpilogue(p *bytecode.Program, plan *epiPlan) (*epiSweep, e
 		slot, tile := len(sw.slots), len(sw.slots)+1
 		sw.slots = append(sw.slots, pInfo.DType, pInfo.DType)
 		in := sw.src
-		in.tile = tile
-		sw.steps = append(sw.steps, boundStep{index: plan.redIdx, op: bytecode.OpIdentity, dtype: pInfo.DType,
-			nargs: 1, dst: operandLoc{slot: slot, tile: -1}, src: [2]operandLoc{in, noLoc}})
-		sw.src = operandLoc{slot: slot, tile: -1}
+		in.tile = int32(tile)
+		cp := boundStep{op: bytecode.OpIdentity, dtype: pInfo.DType, dst: slotLoc(slot), src: [2]operandLoc{in, noLoc}}
+		if err := cp.compile(make([]kArg, 1)); err != nil {
+			return nil, instrErr(p, plan.redIdx, err)
+		}
+		sw.steps = append(sw.steps, cp)
+		sw.src = slotLoc(slot)
 	}
 	return sw, nil
 }

@@ -87,7 +87,7 @@ func (m *Machine) execElementwise(p *bytecode.Program, in *bytecode.Instruction)
 	m.stats.sweeps.Add(1)
 	m.stats.elements.Add(int64(outView.Size()))
 
-	if m.sweepOne(in.Op, outBuf, outView, srcs) {
+	if m.sweepOne(in.Op, outBuf, &in.Out.View, srcs) {
 		return nil
 	}
 	return m.slowElementwise(in.Op, outBuf, outView, srcs)
@@ -125,15 +125,16 @@ func (m *Machine) elementwiseOperands(p *bytecode.Program, in *bytecode.Instruct
 // mixed-dtype instructions (casts, promotions) define their conversions
 // on the accessor path, and so does a result view that addresses some
 // element twice, whose last-write-wins order is the interpreter's.
-func (m *Machine) sweepOne(op bytecode.Opcode, out tensor.Buffer, outView tensor.View, srcs []source) bool {
-	if !outView.Contiguous() && !viewInjective(outView) {
+func (m *Machine) sweepOne(op bytecode.Opcode, out tensor.Buffer, outView *tensor.View, srcs []source) bool {
+	if !outView.Contiguous() && !viewInjective(*outView) {
 		return false
 	}
-	st := boundStep{op: op, dtype: out.DType(), nargs: len(srcs), dst: memLoc(out, outView),
-		src: [2]operandLoc{noLoc, noLoc}}
-	for i, s := range srcs {
+	st := boundStep{op: op, dtype: out.DType(), dst: memLoc(out, outView), src: [2]operandLoc{noLoc, noLoc}}
+	var args [2]kArg
+	for i := range srcs {
+		s := &srcs[i]
 		if s.isConst {
-			st.args[i] = kArg{isConst: true, cf: s.cf, ci: s.ci}
+			args[i] = kArg{isConst: true, cf: s.cf, ci: s.ci}
 			continue
 		}
 		// Class semantics are defined per instruction dtype; an input
@@ -142,9 +143,9 @@ func (m *Machine) sweepOne(op bytecode.Opcode, out tensor.Buffer, outView tensor
 		if s.buf.DType() != out.DType() {
 			return false
 		}
-		st.src[i] = memLoc(s.buf, s.view)
+		st.src[i] = memLoc(s.buf, &s.view)
 	}
-	if st.compile() != nil {
+	if st.compile(args[:len(srcs)]) != nil {
 		return false
 	}
 	m.sweep(outView.Shape, []boundStep{st})

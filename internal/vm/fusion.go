@@ -240,11 +240,7 @@ func (m *Machine) execCluster(p *bytecode.Program, cl cluster) error {
 	n := cl.shape.Size()
 	steps := make([]boundStep, cl.end-cl.start)
 	for i := cl.start; i < cl.end; i++ {
-		st := &steps[i-cl.start]
-		if err := m.locateStep(p, i, cl.shape, st); err != nil {
-			return instrErr(p, i, err)
-		}
-		if err := st.compile(); err != nil {
+		if err := m.bindStep(p, i, cl.shape, &steps[i-cl.start]); err != nil {
 			return instrErr(p, i, err)
 		}
 	}
@@ -290,19 +286,23 @@ type stepKernel func(d, x, y span, n int)
 // operandLoc locates one step operand: a scratch slot, whose window
 // starts at 0 in every block; a memory buffer addressed through view over
 // the sweep's iteration shape, advancing by step along a row; or nothing
-// (buf nil, slot < 0) for a constant bound into the kernel.
+// (buf nil, slot < 0) for a constant bound into the kernel. view points
+// into the program or plan, which outlive the sweep and never change.
 type operandLoc struct {
-	slot int // >= 0: scratch slot
 	buf  tensor.Buffer
-	view tensor.View
-	step int // stride along a row, set by layoutSteps
-	tile int // >= 0: scratch slot staging a run whose step is not 1
+	view *tensor.View
+	slot int32 // >= 0: scratch slot
+	tile int32 // >= 0: scratch slot staging a run whose step is not 1
+	step int   // stride along a row, set by layoutSteps
 }
 
-// noLoc locates nothing; memLoc locates an operand in real memory.
+// noLoc locates nothing; slotLoc locates a scratch slot; memLoc locates
+// an operand in real memory.
 var noLoc = operandLoc{slot: -1, tile: -1}
 
-func memLoc(buf tensor.Buffer, v tensor.View) operandLoc {
+func slotLoc(slot int) operandLoc { return operandLoc{slot: int32(slot), tile: -1} }
+
+func memLoc(buf tensor.Buffer, v *tensor.View) operandLoc {
 	return operandLoc{slot: -1, tile: -1, buf: buf, view: v}
 }
 
@@ -317,66 +317,66 @@ func (l *operandLoc) span(scratch []tensor.Buffer, lay *rowLayout, r, c int) spa
 		}
 		return span{}
 	}
-	s := span{buf: l.buf, off: lay.rowStart(&l.view, r) + c*l.step, stride: l.step}
+	s := span{buf: l.buf, off: lay.rowStart(l.view, r) + c*l.step, stride: l.step}
 	if l.tile >= 0 {
 		s.tile = scratch[l.tile]
 	}
 	return s
 }
 
-// boundStep is one instruction bound for blockwise execution. Register
-// buffers come from the register file, which guarantees each matches the
-// program's declaration, so every window lies inside its buffer and has
-// the step's storage type.
+// boundStep is one instruction bound for blockwise execution: its
+// compiled kernel and a locator per operand. Register buffers come from
+// the register file, which guarantees each matches the program's
+// declaration, so every window lies inside its buffer and has the step's
+// storage type.
 type boundStep struct {
-	index int // instruction index, for error reports
 	op    bytecode.Opcode
 	dtype tensor.DType // storage dtype of every operand
-	args  [2]kArg
-	nargs int
 	dst   operandLoc
 	src   [2]operandLoc
 	kern  stepKernel
 }
 
-// locateStep binds instruction i with every register operand in memory,
-// its view broadcast to the cluster's iteration shape.
-func (m *Machine) locateStep(p *bytecode.Program, i int, shape tensor.Shape, st *boundStep) error {
+// bindStep binds instruction i with every register operand in memory,
+// its view broadcast to the cluster's iteration shape, and compiles it.
+func (m *Machine) bindStep(p *bytecode.Program, i int, shape tensor.Shape, st *boundStep) error {
 	in := &p.Instrs[i]
 	ri, _ := p.Reg(in.Out.Reg)
-	*st = boundStep{index: i, op: in.Op, dtype: ri.DType, src: [2]operandLoc{noLoc, noLoc}}
+	*st = boundStep{op: in.Op, dtype: ri.DType, src: [2]operandLoc{noLoc, noLoc}}
 	buf, err := m.regs.ensure(p, in.Out.Reg)
 	if err != nil {
 		return err
 	}
-	st.dst = memLoc(buf, in.Out.View)
-	inputs := in.Inputs()
-	st.nargs = len(inputs)
-	for j, opnd := range inputs {
+	st.dst = memLoc(buf, &in.Out.View)
+	var args [2]kArg
+	nargs := len(in.Inputs())
+	operands := [2]*bytecode.Operand{&in.In1, &in.In2}
+	for j, opnd := range operands[:nargs] {
 		if opnd.IsConst() {
-			st.args[j] = kArg{isConst: true, cf: opnd.Const.Float(), ci: opnd.Const.Int()}
+			args[j] = kArg{isConst: true, cf: opnd.Const.Float(), ci: opnd.Const.Int()}
 			continue
 		}
 		buf, err := m.regs.ensure(p, opnd.Reg)
 		if err != nil {
 			return err
 		}
-		view := opnd.View
+		view := &opnd.View
 		if !view.Shape.Equal(shape) {
-			if view, err = view.BroadcastTo(shape); err != nil {
+			bv, err := view.BroadcastTo(shape)
+			if err != nil {
 				return err
 			}
+			view = &bv
 		}
 		st.src[j] = memLoc(buf, view)
 	}
-	return nil
+	return st.compile(args[:nargs])
 }
 
-// compile compiles the step's kernel for its storage dtype — the one
-// dtype dispatch of every sweep.
-func (st *boundStep) compile() error {
+// compile compiles the step's kernel over operands args for its storage
+// dtype — the one dtype dispatch of every sweep.
+func (st *boundStep) compile(args []kArg) error {
 	var ok bool
-	args := st.args[:st.nargs]
 	switch st.dtype {
 	case tensor.Float64:
 		st.kern, ok = eraseKernel[float64](st.dtype, st.op, args)

@@ -280,12 +280,6 @@ func (m *Machine) tryReduceEpilogue(p *bytecode.Program, plan *epiPlan) (bool, e
 			return false, nil
 		}
 	}
-	// Compile every kernel before any goroutine runs.
-	for i := range sw.steps {
-		if err := sw.steps[i].compile(); err != nil {
-			return false, instrErr(p, sw.steps[i].index, err)
-		}
-	}
 
 	m.countEpilogueStats(p, plan)
 	strategy := m.sweepStrategyFor(red.Out.View, plan.lines, plan.axLen)

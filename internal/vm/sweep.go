@@ -19,46 +19,13 @@ import (
 // rowLayout splits a sweep's row-major iteration shape into rows. Extent-1
 // dimensions drop out; the innermost dimension, merged with every
 // enclosing one that all operands traverse at a constant stride, forms
-// the row; the remaining dimensions enumerate the rows in row-major order.
+// the row; the remaining dimensions enumerate the rows in row-major order
+// (see layoutSteps).
 type rowLayout struct {
 	shape  []int // the iteration shape
 	dims   []int // dimensions enumerating rows, outermost first
 	inner  int   // innermost dimension, -1 when all extents are 1
 	rowLen int
-}
-
-// newRowLayout builds the layout of shape for operands addressed through
-// views, each with one stride per dimension of shape.
-func newRowLayout(shape []int, views []tensor.View) rowLayout {
-	lay := rowLayout{shape: shape, inner: -1, rowLen: 1}
-	kept := make([]int, 0, len(shape))
-	for d, e := range shape {
-		if e != 1 {
-			kept = append(kept, d)
-		}
-	}
-	if len(kept) == 0 {
-		return lay
-	}
-	k := len(kept) - 1
-	lay.inner = kept[k]
-	lay.rowLen = shape[lay.inner]
-	for k--; k >= 0; k-- {
-		d := kept[k]
-		mergeable := true
-		for _, v := range views {
-			if v.Strides[d] != v.Strides[lay.inner]*lay.rowLen {
-				mergeable = false
-				break
-			}
-		}
-		if !mergeable {
-			break
-		}
-		lay.rowLen *= shape[d]
-	}
-	lay.dims = kept[:k+1]
-	return lay
 }
 
 // rows is the number of rows.
@@ -95,7 +62,6 @@ func (lay *rowLayout) stride(v *tensor.View) int {
 // slot per (dtype, operand position), appended to slots. It returns the
 // layout and the extended slot list.
 func layoutSteps(shape []int, steps []boundStep, slots []tensor.DType, extra ...*operandLoc) (rowLayout, []tensor.DType) {
-	views := make([]tensor.View, 0, 3*len(steps)+len(extra))
 	mem := func(visit func(st *boundStep, pos int, loc *operandLoc)) {
 		for i := range steps {
 			st := &steps[i]
@@ -111,8 +77,35 @@ func layoutSteps(shape []int, steps []boundStep, slots []tensor.DType, extra ...
 			}
 		}
 	}
-	mem(func(_ *boundStep, _ int, loc *operandLoc) { views = append(views, loc.view) })
-	lay := newRowLayout(shape, views)
+	lay := rowLayout{shape: shape, inner: -1, rowLen: 1}
+	for d := len(shape) - 1; d >= 0 && lay.inner < 0; d-- {
+		if shape[d] != 1 {
+			lay.inner, lay.rowLen = d, shape[d]
+		}
+	}
+	// Merge enclosing dimensions into the row while every operand steps
+	// over them at a constant stride; the rest enumerate rows.
+	outer := lay.inner - 1
+	for ; outer >= 0; outer-- {
+		if shape[outer] == 1 {
+			continue
+		}
+		mergeable := true
+		mem(func(_ *boundStep, _ int, loc *operandLoc) {
+			st := loc.view.Strides
+			mergeable = mergeable && st[outer] == st[lay.inner]*lay.rowLen
+		})
+		if !mergeable {
+			break
+		}
+		lay.rowLen *= shape[outer]
+	}
+	for d := 0; d <= outer; d++ {
+		if shape[d] != 1 {
+			lay.dims = append(lay.dims, d)
+		}
+	}
+
 	type tileKey struct {
 		dt  tensor.DType
 		pos int
@@ -120,7 +113,7 @@ func layoutSteps(shape []int, steps []boundStep, slots []tensor.DType, extra ...
 	var keys []tileKey // keys[i] owns slot first+i
 	first := len(slots)
 	mem(func(st *boundStep, pos int, loc *operandLoc) {
-		loc.step = lay.stride(&loc.view)
+		loc.step = lay.stride(loc.view)
 		if st == nil || loc.step == 1 {
 			return
 		}
@@ -131,7 +124,7 @@ func layoutSteps(shape []int, steps []boundStep, slots []tensor.DType, extra ...
 			keys = append(keys, key)
 			slots = append(slots, st.dtype)
 		}
-		loc.tile = first + i
+		loc.tile = int32(first + i)
 	})
 	return lay, slots
 }
