@@ -513,10 +513,10 @@ BH_SYNC a2
 	}
 }
 
-// epilogueCases cover the reduction-epilogue paths: linear blockwise
-// folds (full, last-axis/split-outputs, chunked), the per-element fold
-// over strided and broadcast producers, float32/int32/bool dtypes, MAX
-// folds, and a live (materialized) producer. serialTol follows the
+// epilogueCases cover the reduction-epilogue shapes: contiguous folds
+// (full, last-axis/split-outputs, chunked), strided and broadcast
+// producers, interior axes, argmin/argmax, float32/int32/bool dtypes,
+// MAX folds, and a live (materialized) producer. serialTol follows the
 // reduce.go contract: 0 except chunked float folds vs the forced-serial
 // machine.
 var epilogueCases = []struct {
@@ -629,7 +629,7 @@ BH_SYNC a2
 		out: 2, n: 1, serialTol: 0, wantFR: 1,
 	},
 	{
-		// Strided producer inputs: the per-element epilogue path.
+		// Strided producer inputs, staged through scratch tiles.
 		name: "sum-strided-float64",
 		src: `
 .reg a0 float64 80000
@@ -645,7 +645,7 @@ BH_SYNC a2
 	},
 	{
 		// Broadcast input (stride-0 leading dim) reduced along the data
-		// axis: per-element epilogue through the split-outputs strategy.
+		// axis through the split-outputs strategy.
 		name: "sum-broadcast-float64",
 		src: `
 .reg a0 float64 200
@@ -693,9 +693,8 @@ BH_SYNC a2
 		out: 2, n: 1, serialTol: 1e-9, wantFR: 1,
 	},
 	{
-		// Leading-axis reduce: the any-axis epilogue path (the linear
-		// blockwise fold only serves the last axis). Per-line folds are
-		// exact, so serial comparison is bitwise too.
+		// Leading-axis reduce: each line is a strided run down a column.
+		// Per-line folds are exact, so serial comparison is bitwise too.
 		name: "sum-axis0-float64",
 		src: `
 .reg a0 float64 40000

@@ -55,7 +55,7 @@ func newLinearEpilogue(tb testing.TB, cfg Config, n int) (*Machine, *Plan) {
 }
 
 // TestLinearEpilogueSteadyStateAllocs guards the allocation-free hot
-// path: once warm, executing a cached plan whose linear epilogue folds
+// path: once warm, executing a cached plan whose contiguous epilogue folds
 // 65,536 float64s on the chunk-axis strategy allocates a small constant —
 // the same count as at 8,192 elements, so nothing scales with the number
 // of chunks or blocks (no per-block closures, no per-worker tiles).
@@ -372,9 +372,9 @@ func TestRedeclaredRegisterIsAnError(t *testing.T) {
 }
 
 // BenchmarkLinearEpilogue times one warm execution of a cached plan whose
-// producer chain folds into a full float64 reduction through the
-// blockwise linear epilogue. Allocations are reported: a warm run
-// allocates a small constant at every N.
+// contiguous producer chain folds into a full float64 reduction through
+// the blockwise epilogue. Allocations are reported: a warm run allocates
+// a small constant at every N.
 func BenchmarkLinearEpilogue(b *testing.B) {
 	for _, n := range []int{4096, 65536} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {

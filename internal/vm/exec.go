@@ -169,8 +169,9 @@ func useIntClass(out tensor.Buffer, srcs []source) bool {
 	return true
 }
 
-// slowElementwise is the general strided path: per-element accessor loops
-// over lockstep iterators, any dtype combination.
+// slowElementwise is the accessor interpreter: per-element accessor loops
+// over lockstep iterators, any dtype combination. It runs what sweepOne
+// declines, and tests compare every sweep against it (runReference).
 func (m *Machine) slowElementwise(op bytecode.Opcode, out tensor.Buffer, outView tensor.View, srcs []source) error {
 	intClass := useIntClass(out, srcs)
 	switch len(srcs) {

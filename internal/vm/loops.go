@@ -9,11 +9,9 @@ import (
 
 // Compiled kernels for contiguous operands of any storage dtype.
 // compileKernel turns one instruction into a slice kernel with the
-// arithmetic inlined; the single-sweep fast path calls it across worker
-// chunks, and fused clusters and the linear reduction epilogue call it
-// per cache-sized block — the interpreted equivalent of the kernel the
-// paper's OpenCL backend would JIT, instantiated per element type
-// through Go generics.
+// arithmetic inlined; every sweep (sweep.go) calls it per cache-sized
+// block — the interpreted equivalent of the kernel the paper's OpenCL
+// backend would JIT, instantiated per element type through Go generics.
 //
 // Semantics are pinned to the interpreted accessor path: float dtypes
 // compute in the float64 class and convert back through the storage type

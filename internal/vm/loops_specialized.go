@@ -8,9 +8,8 @@ import (
 // Specialized inner loops for the hottest (op, dtype) pairs: word-wide
 // native arithmetic instead of the generic widen-to-class-and-round-back
 // bodies of loops.go. They slot in underneath the existing dispatch —
-// compileFloatBinaryKernel/compileIntBinaryKernel try these first — so fused
-// clusters, the single-sweep fast path, and the linear reduction epilogue
-// all pick them up with no planning changes.
+// compileFloatBinaryKernel/compileIntBinaryKernel try these first — so
+// every sweep picks them up with no planning changes.
 //
 // Every specialization here is bit-for-bit identical to the generic body
 // it replaces, by construction rather than by tolerance:

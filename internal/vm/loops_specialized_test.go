@@ -201,7 +201,7 @@ func TestSpecIntWrapExact(t *testing.T) {
 }
 
 // TestSpecializedEndToEnd runs whole programs through the engine — which
-// now picks the specialized kernels on its fast path and in fused
+// now picks the specialized kernels for single instructions and fused
 // clusters — against a machine configured below the parallel threshold,
 // and pins a float32 stream against its interpreted (Fusion: false) twin.
 func TestSpecializedEndToEnd(t *testing.T) {

@@ -92,8 +92,8 @@ func layoutSteps(shape []int, steps []boundStep, slots []tensor.DType, extra ...
 		}
 		mergeable := true
 		mem(func(_ *boundStep, _ int, loc *operandLoc) {
-			st := loc.view.Strides
-			mergeable = mergeable && st[outer] == st[lay.inner]*lay.rowLen
+			strides := loc.view.Strides
+			mergeable = mergeable && strides[outer] == strides[lay.inner]*lay.rowLen
 		})
 		if !mergeable {
 			break
