@@ -56,8 +56,7 @@ type epiPlan struct {
 	redIdx   int
 	red      *bytecode.Instruction
 	shape    tensor.Shape
-	axis     int   // reduced axis within shape
-	lineDims []int // shape without the axis
+	lineDims []int // shape without the reduced axis
 	sweep    []int // lineDims then the axis: the sweep's iteration shape
 	axLen    int
 	lines    int
@@ -123,7 +122,6 @@ func analyzeEpilogue(p *bytecode.Program, cl cluster) (*epiPlan, bool) {
 		redIdx:   redIdx,
 		red:      red,
 		shape:    shape,
-		axis:     axis,
 		lineDims: []int(lineShape),
 		sweep:    append(lineShape.Clone(), shape[axis]),
 		axLen:    shape[axis],

@@ -15,11 +15,11 @@ import (
 // file afresh (new input bindings, recycled temporaries) without
 // re-running any analysis. Execute is read-only on the Plan, so one Plan
 // may execute on several Machines concurrently — the shared plan cache
-// and the async backend.Executor both depend on that, which is why a cached or
-// queued plan must never be mutated: rebind constants with WithConstants
-// (clone); PatchConstants (in place) is only for a plan the caller owns
-// outright and is not executing anywhere. Keep any new Plan/epiPlan
-// state immutable after Compile for the same reason.
+// and the async backend.Executor both depend on that, which is why a
+// cached or queued plan must never be mutated: rebind constants with
+// WithConstants (clone); PatchConstants (in place) is only for a plan the
+// caller owns outright and is not executing anywhere. Keep any new
+// Plan/epiPlan state immutable after Compile for the same reason.
 type Plan struct {
 	prog     *bytecode.Program
 	fused    bool
