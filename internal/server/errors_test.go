@@ -32,6 +32,10 @@ func TestErrorEnvelopes(t *testing.T) {
 	poisoned := a.createSession(api.CreateSession{Async: true})
 	unbound := ".reg a9 float64 8\n.in a9\nBH_ADD a9 [0:8:1] a9 [0:8:1] 1\nBH_SYNC a9 [0:8:1]\n"
 	a.submit(poisoned.ID, unbound, http.StatusAccepted)
+	// Fence on the queued batch: the read waits for it to fail, so the
+	// cases below meet the sticky pipeline error instead of racing the
+	// executor goroutine.
+	a.expectError("GET", "/v1/sessions/"+poisoned.ID+"/arrays/a9", nil, http.StatusConflict, api.CodePipeline)
 
 	cases := []struct {
 		name   string
