@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"bohrium/internal/bytecode"
 	"bohrium/internal/faultinject"
+	"bohrium/internal/tensor"
 	"bohrium/internal/vm"
 )
 
@@ -94,6 +96,58 @@ func TestExecutorQueuedPlansKeepOwnConstants(t *testing.T) {
 	}
 	if got, want := regVals(t, b, 3, 1)[0], regVals(t, ref, 3, 1)[0]; got != want {
 		t.Errorf("patched execution sum = %v, want %v", got, want)
+	}
+}
+
+// failingProg reduces an empty axis with MAX: it compiles, then fails at
+// execution (empty MAX has no identity).
+func failingProg() *bytecode.Program {
+	p := bytecode.NewProgram()
+	src := p.NewReg(tensor.Float64, 0)
+	dst := p.NewReg(tensor.Float64, 1)
+	vEmpty := tensor.NewView(tensor.MustShape(0))
+	v1 := tensor.NewView(tensor.MustShape(1))
+	p.EmitIdentity(bytecode.Reg(src, vEmpty), bytecode.Const(bytecode.ConstFloat(0)))
+	p.EmitReduce(bytecode.OpMaximumReduce, bytecode.Reg(dst, v1), bytecode.Reg(src, vEmpty), 0)
+	p.EmitSync(bytecode.Reg(dst, v1))
+	p.MarkOutput(dst)
+	return p
+}
+
+// TestExecutorErrorPoisonsAndSkips: on the in-process backend the first
+// failing plan poisons the pipeline — a good plan queued behind it is
+// skipped, Wait returns the ErrExec-wrapped error, and the error stays
+// sticky through further Waits and Close.
+func TestExecutorErrorPoisonsAndSkips(t *testing.T) {
+	b, _ := openTest(t, "inprocess", Config{VM: vm.Config{Fusion: true}})
+	bad, err := b.Compile(failingProg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := b.Compile(chainProg(64, 1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bindVec(t, b, 0, irregularVals(64))
+	e := NewExecutor(b, 4, "")
+
+	e.Submit(bad)
+	e.Submit(good) // must be skipped
+	werr := e.Wait()
+	if werr == nil {
+		t.Fatal("Wait returned nil for a failing plan")
+	}
+	if !errors.Is(werr, vm.ErrExec) {
+		t.Errorf("pipeline error %v is not an ErrExec chain", werr)
+	}
+	if st := b.Stats(); st.Pipelined != 1 {
+		t.Errorf("Pipelined = %d, want 1 (queued plan after the failure must be skipped)", st.Pipelined)
+	}
+	if again := e.Wait(); again == nil || again.Error() != werr.Error() {
+		t.Errorf("sticky error lost: %v", again)
+	}
+	if cerr := e.Close(); cerr == nil || cerr.Error() != werr.Error() {
+		t.Errorf("Close error = %v, want the pipeline error", cerr)
 	}
 }
 
