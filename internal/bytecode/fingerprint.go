@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Fingerprint is a canonical digest of a program's *structure*: opcodes,
@@ -26,55 +26,60 @@ func (f Fingerprint) String() string { return fmt.Sprintf("%x", f[:8]) }
 // purposes up to constant values: same instruction sequence, same
 // register declarations and views at every operand, same input/output
 // roles over the registers the instructions touch.
+//
+// The digest is SHA-256 over a stream of little-endian 64-bit words. The
+// words are staged in a stack chunk that is handed to the hash whenever
+// the next instruction might not fit, so the hash sees a few large
+// writes and the stream is never buffered whole.
 func (p *Program) Fingerprint() Fingerprint {
 	h := sha256.New()
-	var word [8]byte
-	wr := func(v int64) {
-		binary.LittleEndian.PutUint64(word[:], uint64(v))
-		h.Write(word[:])
-	}
-	used := map[RegID]bool{}
-	writeOperand := func(o *Operand) {
-		wr(int64(o.Kind))
-		switch o.Kind {
-		case OperandReg:
-			used[o.Reg] = true
-			wr(int64(o.Reg))
-			ri, _ := p.Reg(o.Reg)
-			wr(int64(ri.DType))
-			wr(int64(ri.Len))
-			wr(int64(o.View.Offset))
-			wr(int64(len(o.View.Shape)))
-			for _, d := range o.View.Shape {
-				wr(int64(d))
-			}
-			for _, s := range o.View.Strides {
-				wr(int64(s))
-			}
-		case OperandConst:
-			// Dtype keys the cache (it selects the computation class);
-			// the value is a plan parameter and stays out of the digest.
-			wr(int64(o.Const.DType))
-		}
-	}
+	var chunk [2048]byte
+	buf := chunk[:0]
+	var stack [256]RegID
+	used := stack[:0]
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
-		wr(int64(in.Op))
-		wr(int64(in.Axis))
-		writeOperand(&in.Out)
-		writeOperand(&in.In1)
-		writeOperand(&in.In2)
+		if len(buf) > len(chunk)-fpInstrBytes {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = putWord(buf, int64(in.Op))
+		buf = putWord(buf, int64(in.Axis))
+		for _, o := range [...]*Operand{&in.Out, &in.In1, &in.In2} {
+			buf = putWord(buf, int64(o.Kind))
+			switch o.Kind {
+			case OperandReg:
+				used = append(used, o.Reg)
+				ri, _ := p.Reg(o.Reg)
+				buf = putWord(buf, int64(o.Reg))
+				buf = putWord(buf, int64(ri.DType))
+				buf = putWord(buf, int64(ri.Len))
+				buf = putWord(buf, int64(o.View.Offset))
+				buf = putWord(buf, int64(len(o.View.Shape)))
+				for _, d := range o.View.Shape {
+					buf = putWord(buf, int64(d))
+				}
+				for _, s := range o.View.Strides {
+					buf = putWord(buf, int64(s))
+				}
+			case OperandConst:
+				// Dtype keys the cache (it selects the computation class);
+				// the value is a plan parameter and stays out of the digest.
+				buf = putWord(buf, int64(o.Const.DType))
+			}
+		}
 	}
 	// Roles of the referenced registers, in register order: whether each
 	// is bound before execution and whether it is externally observable.
 	// Both gate rewrites (liveness, DCE), so both key the cache.
-	ids := make([]RegID, 0, len(used))
-	for r := range used {
-		ids = append(ids, r)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	wr(int64(len(ids)))
-	for _, r := range ids {
+	slices.Sort(used)
+	used = slices.Compact(used)
+	buf = putWord(buf, int64(len(used)))
+	for _, r := range used {
+		if len(buf) > len(chunk)-16 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 		role := int64(0)
 		if p.IsInput(r) {
 			role |= 1
@@ -82,12 +87,23 @@ func (p *Program) Fingerprint() Fingerprint {
 		if p.IsOutput(r) {
 			role |= 2
 		}
-		wr(int64(r))
-		wr(role)
+		buf = putWord(buf, int64(r))
+		buf = putWord(buf, role)
 	}
+	h.Write(buf)
 	var fp Fingerprint
 	h.Sum(fp[:0])
 	return fp
+}
+
+// fpInstrBytes is the stream length of an instruction whose three
+// operands are 4-D views. Longer instructions still hash correctly: the
+// chunk then spills to the heap.
+const fpInstrBytes = 8 * (2 + 3*(6+2*4))
+
+// putWord appends v to the fingerprint stream as a little-endian word.
+func putWord(buf []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, uint64(v))
 }
 
 // SequenceFingerprint combines two batch fingerprints into the identity
@@ -112,7 +128,20 @@ func SequenceFingerprint(a, b Fingerprint) Fingerprint {
 // the Fingerprint it fully identifies the batch, and for plans compiled
 // from rewrite-free batches it is the parameter list SetConstants patches.
 func (p *Program) Constants() []Constant {
-	var out []Constant
+	n := 0
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		if in.In1.IsConst() {
+			n++
+		}
+		if in.In2.IsConst() {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Constant, 0, n)
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		if in.In1.IsConst() {

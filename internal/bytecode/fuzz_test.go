@@ -3,27 +3,50 @@ package bytecode
 import (
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
+
+// committedListings reads every committed examples/*/listing.bh, keyed
+// by its example directory.
+func committedListings(tb testing.TB) map[string]string {
+	tb.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "*", "listing.bh"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(paths) == 0 {
+		tb.Fatal("no examples/*/listing.bh found")
+	}
+	out := make(map[string]string, len(paths))
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[filepath.Base(filepath.Dir(path))] = string(data)
+	}
+	return out
+}
+
+// sortedKeys returns m's keys in order, for deterministic subtests.
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
 
 // seedListings feeds every committed examples/*/listing.bh into the fuzz
 // corpus: the real wire format is the best starting point for mutation,
 // and the glob doubles as a check that the corpus stays in sync with the
 // examples tree.
 func seedListings(f *F) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "*", "listing.bh"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	if len(paths) == 0 {
-		f.Fatal("no examples/*/listing.bh seeds found")
-	}
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(string(data))
+	listings := committedListings(f)
+	for _, name := range sortedKeys(listings) {
+		f.Add(listings[name])
 	}
 }
 
@@ -75,7 +98,7 @@ func FuzzParseView(f *testing.F) {
 	f.Add("[10:0:-1]")
 	f.Add("[-9223372036854775808:9223372036854775807:1]")
 	f.Fuzz(func(t *testing.T, spec string) {
-		v, err := parseView(spec)
+		v, err := parseView(spec, new(intSlab))
 		if err != nil {
 			return
 		}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"bohrium/internal/tensor"
 )
@@ -39,32 +41,70 @@ func Parse(src string) (*Program, error) {
 // assigned in declaration order, which a listing's names need not follow.
 func ParseNames(src string) (*Program, map[string]RegID, error) {
 	ps := &parseState{
-		prog:     NewProgram(),
+		prog:     &Program{Instrs: make([]Instruction, 0, min(strings.Count(src, "\n")+1, maxPresizedInstrs))},
 		declared: map[string]RegID{},
-		pending:  map[string]*pendingReg{},
 	}
-	for lineNo, raw := range strings.Split(src, "\n") {
+	var tokBuf [16]string
+	lineNo := 0
+	for raw := range strings.SplitSeq(src, "\n") {
+		lineNo++
 		line := raw
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
+		tokens := fields(tokBuf[:0], line)
+		if len(tokens) == 0 {
 			continue
 		}
-		if err := ps.parseLine(line); err != nil {
-			return nil, nil, fmt.Errorf("%w: line %d: %w", ErrParse, lineNo+1, err)
+		if err := ps.parseLine(tokens); err != nil {
+			return nil, nil, fmt.Errorf("%w: line %d: %w", ErrParse, lineNo, err)
 		}
 	}
-	ps.resolvePending()
-	names := make(map[string]RegID, len(ps.declared)+len(ps.pending))
-	for name, id := range ps.declared {
-		names[name] = id
-	}
+	// The declared map becomes the name mapping: auto-declared names
+	// never collide with it (a later .reg of one is rejected).
+	names := ps.declared
 	for name, pend := range ps.pending {
+		ps.prog.Regs[pend.id].Len = pend.maxHi
 		names[name] = pend.id
 	}
 	return ps.prog, names, nil
+}
+
+// maxPresizedInstrs caps the instruction capacity ParseNames reserves
+// from the listing's line count, so a body of blank lines cannot demand
+// a large allocation up front; longer listings grow by append.
+const maxPresizedInstrs = 1024
+
+// fields appends the whitespace-separated fields of s to dst, splitting
+// exactly where strings.Fields does (unicode.IsSpace) without allocating
+// while dst has room.
+func fields(dst []string, s string) []string {
+	start := -1
+	for i := 0; i < len(s); {
+		c, size := s[i], 1
+		var space bool
+		if c < utf8.RuneSelf {
+			space = c == ' ' || c-'\t' <= '\r'-'\t' // ' ', \t \n \v \f \r
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case space:
+			if start >= 0 {
+				dst = append(dst, s[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
 }
 
 // MustParse is Parse for known-good sources in tests and examples.
@@ -86,11 +126,12 @@ type pendingReg struct {
 type parseState struct {
 	prog     *Program
 	declared map[string]RegID
-	pending  map[string]*pendingReg
+	pending  map[string]*pendingReg // nil until a register is auto-declared
+	dims     intSlab
 }
 
-func (ps *parseState) parseLine(line string) error {
-	tokens := strings.Fields(line)
+// parseLine assembles one listing line, already split into fields.
+func (ps *parseState) parseLine(tokens []string) error {
 	if strings.HasPrefix(tokens[0], ".") {
 		return ps.parseDirective(tokens)
 	}
@@ -111,29 +152,26 @@ func (ps *parseState) parseLine(line string) error {
 		rest = rest[:len(rest)-1]
 	}
 
-	operands := make([]Operand, 0, 3)
+	// Every operand is parsed before the count is checked, so a bad
+	// fourth operand reports its own error first.
+	slots := [...]*Operand{&in.Out, &in.In1, &in.In2}
+	n := 0
 	for len(rest) > 0 {
-		opnd, n, err := ps.parseOperand(rest)
+		opnd, used, err := ps.parseOperand(rest)
 		if err != nil {
 			return err
 		}
-		operands = append(operands, opnd)
-		rest = rest[n:]
+		if n < len(slots) {
+			*slots[n] = opnd
+		}
+		n++
+		rest = rest[used:]
 	}
-	if op != OpNone && len(operands) == 0 {
+	if op != OpNone && n == 0 {
 		return fmt.Errorf("%s needs a result operand", op)
 	}
-	if len(operands) > 3 {
-		return fmt.Errorf("%s has %d operands, max 3", op, len(operands))
-	}
-	if len(operands) > 0 {
-		in.Out = operands[0]
-	}
-	if len(operands) > 1 {
-		in.In1 = operands[1]
-	}
-	if len(operands) > 2 {
-		in.In2 = operands[2]
+	if n > len(slots) {
+		return fmt.Errorf("%s has %d operands, max 3", op, n)
 	}
 	ps.prog.Emit(in)
 	return nil
@@ -193,12 +231,12 @@ func (ps *parseState) parseOperand(tokens []string) (Operand, int, error) {
 		return Const(ConstBool(false)), 1, nil
 	case looksLikeRegister(tok):
 		used := 1
-		var viewTokens []string
 		for used < len(tokens) && strings.HasPrefix(tokens[used], "[") {
-			viewTokens = append(viewTokens, tokens[used])
 			used++
 		}
-		opnd, err := ps.registerOperand(tok, strings.Join(viewTokens, ""))
+		// Join copies only for a view split across fields; the usual
+		// "[..][..]" field is passed through as is.
+		opnd, err := ps.registerOperand(tok, strings.Join(tokens[1:used], ""))
 		if err != nil {
 			return Operand{}, 0, err
 		}
@@ -221,13 +259,34 @@ func looksLikeRegister(tok string) bool {
 }
 
 func parseConstant(tok string) (Constant, error) {
-	if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
-		return ConstInt(i), nil
+	// ParseInt can only succeed on a signed digit string; checking the
+	// shape first spares a float its failed ParseInt's error allocation.
+	if isDecimal(tok) {
+		if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
+			return ConstInt(i), nil
+		}
 	}
 	if f, err := strconv.ParseFloat(tok, 64); err == nil {
 		return ConstFloat(f), nil
 	}
 	return Constant{}, fmt.Errorf("bad constant %q", tok)
+}
+
+// isDecimal reports whether tok is an optionally signed run of decimal
+// digits.
+func isDecimal(tok string) bool {
+	if tok != "" && (tok[0] == '+' || tok[0] == '-') {
+		tok = tok[1:]
+	}
+	if tok == "" {
+		return false
+	}
+	for i := 0; i < len(tok); i++ {
+		if tok[i] < '0' || tok[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 func (ps *parseState) registerOperand(name, viewSpec string) (Operand, error) {
@@ -237,9 +296,11 @@ func (ps *parseState) registerOperand(name, viewSpec string) (Operand, error) {
 			return Operand{}, fmt.Errorf("register %s used without view needs a .reg declaration", name)
 		}
 		info, _ := ps.prog.Reg(id)
-		return Reg(id, tensor.NewView(tensor.MustShape(info.Len))), nil
+		dims := ps.dims.take(2)
+		dims[0], dims[1] = info.Len, 1 // the full contiguous 1-D view
+		return Reg(id, tensor.View{Shape: tensor.Shape(dims[:1:1]), Strides: dims[1:]}), nil
 	}
-	view, err := parseView(viewSpec)
+	view, err := parseView(viewSpec, &ps.dims)
 	if err != nil {
 		return Operand{}, err
 	}
@@ -249,6 +310,9 @@ func (ps *parseState) registerOperand(name, viewSpec string) (Operand, error) {
 	// Auto-declare: grow the pending register to cover this view.
 	pend, ok := ps.pending[name]
 	if !ok {
+		if ps.pending == nil {
+			ps.pending = map[string]*pendingReg{}
+		}
 		pend = &pendingReg{id: ps.prog.NewReg(tensor.Float64, 0)}
 		ps.pending[name] = pend
 	}
@@ -258,16 +322,31 @@ func (ps *parseState) registerOperand(name, viewSpec string) (Operand, error) {
 	return Reg(pend.id, view), nil
 }
 
-func (ps *parseState) resolvePending() {
-	for _, pend := range ps.pending {
-		ps.prog.Regs[pend.id].Len = pend.maxHi
+// intSlab hands out the Shape and Strides of parsed views as capped
+// slices of shared blocks: one allocation per block rather than two per
+// view. The cap keeps an append to one view's slice from reaching the
+// next view's.
+type intSlab []int
+
+// intSlabBlock is the slab's block size in ints.
+const intSlabBlock = 128
+
+func (s *intSlab) take(n int) []int {
+	if n > len(*s) {
+		*s = make([]int, max(n, intSlabBlock))
 	}
+	out := (*s)[:n:n]
+	*s = (*s)[n:]
+	return out
 }
 
-// parseView parses one or more "[start:stop:step]" groups into a View.
-// The first group's start carries the linear offset, matching View.String.
-func parseView(spec string) (tensor.View, error) {
-	var starts, stops, steps []int
+// parseView parses one or more "[start:stop:step]" groups into a View
+// whose Shape and Strides come from slab. The first group's start
+// carries the linear offset, matching View.String. Syntax errors win
+// over extent errors, which win over a misplaced offset.
+func parseView(spec string, slab *intSlab) (tensor.View, error) {
+	var stack [4][3]int // start, stop, step per group
+	groups := stack[:0]
 	rest := spec
 	for rest != "" {
 		if rest[0] != '[' {
@@ -277,49 +356,52 @@ func parseView(spec string) (tensor.View, error) {
 		if end < 0 {
 			return tensor.View{}, fmt.Errorf("unterminated view %q", spec)
 		}
-		parts := strings.Split(rest[1:end], ":")
-		if len(parts) != 3 {
+		body := rest[1:end]
+		if strings.Count(body, ":") != 2 {
 			return tensor.View{}, fmt.Errorf("view group %q wants start:stop:step", rest[:end+1])
 		}
-		vals := make([]int, 3)
-		for i, p := range parts {
-			v, err := strconv.Atoi(strings.TrimSpace(p))
-			if err != nil {
-				return tensor.View{}, fmt.Errorf("bad view number %q", p)
+		var g [3]int
+		for i := range g {
+			part := body
+			if j := strings.IndexByte(body, ':'); j >= 0 {
+				part, body = body[:j], body[j+1:]
 			}
-			vals[i] = v
+			v, err := strconv.Atoi(strings.TrimSpace(part))
+			if err != nil {
+				return tensor.View{}, fmt.Errorf("bad view number %q", part)
+			}
+			g[i] = v
 		}
-		starts = append(starts, vals[0])
-		stops = append(stops, vals[1])
-		steps = append(steps, vals[2])
+		groups = append(groups, g)
 		rest = rest[end+1:]
 	}
-	shape := make(tensor.Shape, len(starts))
-	strides := make([]int, len(starts))
-	for i := range starts {
-		span := stops[i] - starts[i]
+	dims := slab.take(2 * len(groups))
+	shape, strides := tensor.Shape(dims[:len(groups):len(groups)]), dims[len(groups):]
+	for i, g := range groups {
+		start, stop, step := g[0], g[1], g[2]
+		span := stop - start
 		switch {
-		case steps[i] == 0: // broadcast dimension
+		case step == 0: // broadcast dimension
 			if span < 0 {
 				return tensor.View{}, fmt.Errorf("view group [%d:%d:%d] has negative extent",
-					starts[i], stops[i], steps[i])
+					start, stop, step)
 			}
 			shape[i] = span
 			strides[i] = 0
-		case span%steps[i] != 0 || span/steps[i] < 0:
+		case span%step != 0 || span/step < 0:
 			return tensor.View{}, fmt.Errorf("view group [%d:%d:%d] has non-integral extent",
-				starts[i], stops[i], steps[i])
+				start, stop, step)
 		default:
-			shape[i] = span / steps[i]
-			strides[i] = steps[i]
+			shape[i] = span / step
+			strides[i] = step
 		}
 	}
 	offset := 0
-	if len(starts) > 0 {
-		offset = starts[0]
+	if len(groups) > 0 {
+		offset = groups[0][0]
 	}
-	for i := 1; i < len(starts); i++ {
-		if starts[i] != 0 {
+	for i := 1; i < len(groups); i++ {
+		if groups[i][0] != 0 {
 			return tensor.View{}, fmt.Errorf("view %q: only the leading group may carry an offset", spec)
 		}
 	}

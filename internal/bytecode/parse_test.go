@@ -328,3 +328,21 @@ func TestDumpRoundTripInputsOutputs(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkParseNames measures the bhd wire parser on each committed
+// listing.
+func BenchmarkParseNames(b *testing.B) {
+	listings := committedListings(b)
+	for _, name := range sortedKeys(listings) {
+		src := listings[name]
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ParseNames(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -336,8 +336,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatch: POST /v1/sessions/{id}/batches. The body is a
-// docs/bytecode.md listing; it is parsed, validated, optionally
-// optimized, compiled through the shared plan cache, and executed —
+// docs/bytecode.md listing; it is parsed, validated, and looked up in
+// the shared plan cache by the parsed program's fingerprint — only a
+// miss is optimized and compiled (see compile) — then executed:
 // synchronously (200 with the synced registers) or onto the session's
 // async executor (202, read an array to fence).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -388,30 +389,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	prog, names, err := bytecode.ParseNames(string(body))
+	parsed, names, err := bytecode.ParseNames(string(body))
 	if err != nil {
 		api.WriteError(w, api.Errorf(http.StatusBadRequest, api.CodeParse, "%v", err))
 		return
 	}
-	if err := prog.Validate(); err != nil {
+	if err := parsed.Validate(); err != nil {
 		api.WriteError(w, api.Errorf(http.StatusBadRequest, api.CodeInvalid, "%v", err))
 		return
 	}
-	if sess.pipeline != nil {
-		optimized, _, err := sess.pipeline.Optimize(prog)
-		if err != nil {
-			api.WriteError(w, api.Errorf(http.StatusBadRequest, api.CodeInvalid,
-				"optimizer rejected batch: %v", err))
-			return
-		}
-		prog = optimized
-	}
-
-	if apiErr := sess.checkLive(prog); apiErr != nil {
-		api.WriteError(w, apiErr)
-		return
-	}
-	plan, apiErr := s.compile(sess, prog)
+	prog, plan, apiErr := s.compile(sess, parsed)
 	if apiErr != nil {
 		api.WriteError(w, apiErr)
 		return
@@ -421,9 +408,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// where its names landed so reads can address the registers, and
 	// count it. An async submission that is SHED must book nothing —
 	// the shed batch never existed as far as the session is concerned.
+	// Names resolve through the parsed listing's own declarations: a
+	// cached plan's program may declare unreferenced registers otherwise.
 	admit := func() {
 		for name, id := range names {
-			if info, ok := prog.Reg(id); ok {
+			if info, ok := parsed.Reg(id); ok {
 				sess.regs[name] = regEntry{id: id, dtype: info.DType, n: info.Len}
 			}
 		}
@@ -474,32 +463,52 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, result)
 }
 
-// compile runs the plan-cache path bhrun uses, with the server's meta
-// tag: lookups only accept plans this server compiled under the same
-// optimizer setting, so sessions sharing the engine share compiles
-// without ever replaying a foreign or differently-optimized plan.
-// Caller holds the session lock.
-func (s *Server) compile(sess *session, prog *bytecode.Program) (backend.Plan, *api.Error) {
-	meta := planMeta{optimize: sess.optimize}
-	accept := func(m any) bool { return m == any(meta) }
-	if !sess.be.PlanCacheEnabled() {
-		plan, err := sess.be.Compile(prog)
-		if err != nil {
-			return nil, api.Errorf(http.StatusBadRequest, api.CodeInvalid, "%v", err)
+// compile resolves a validated batch to the program that will execute
+// and its plan, the way Context.Submit does: the parsed program's
+// fingerprint and constants look up the shared plan cache, and only a
+// miss pays for Optimize and Compile, inserting the plan under the
+// parsed key. A hit takes the optimized program from the cached plan.
+// The live-register check always runs on the program that will execute,
+// before any compile or insert. The meta tag keeps lookups to plans this
+// server compiled under the same optimizer setting and register base, so
+// sessions sharing the engine share compiles without ever replaying a
+// foreign or differently-optimized plan. Caller holds the session lock.
+func (s *Server) compile(sess *session, parsed *bytecode.Program) (*bytecode.Program, backend.Plan, *api.Error) {
+	cached := sess.be.PlanCacheEnabled()
+	meta := planMeta{optimize: sess.optimize, base: len(parsed.Regs)}
+	var fp bytecode.Fingerprint
+	var consts []bytecode.Constant
+	if cached {
+		fp, consts = parsed.Fingerprint(), parsed.Constants()
+		accept := func(m any) bool { return m == any(meta) }
+		if plan, _, ok := sess.be.LookupPlan(fp, consts, accept); ok {
+			prog := plan.Program()
+			if apiErr := sess.checkLive(prog); apiErr != nil {
+				return nil, nil, apiErr
+			}
+			return prog, plan, nil
 		}
-		return plan, nil
 	}
-	fp := prog.Fingerprint()
-	consts := prog.Constants()
-	if plan, _, ok := sess.be.LookupPlan(fp, consts, accept); ok {
-		return plan, nil
+	prog := parsed
+	if sess.pipeline != nil {
+		optimized, _, err := sess.pipeline.Optimize(parsed)
+		if err != nil {
+			return nil, nil, api.Errorf(http.StatusBadRequest, api.CodeInvalid,
+				"optimizer rejected batch: %v", err)
+		}
+		prog = optimized
+	}
+	if apiErr := sess.checkLive(prog); apiErr != nil {
+		return nil, nil, apiErr
 	}
 	plan, err := sess.be.Compile(prog)
 	if err != nil {
-		return nil, api.Errorf(http.StatusBadRequest, api.CodeInvalid, "%v", err)
+		return nil, nil, api.Errorf(http.StatusBadRequest, api.CodeInvalid, "%v", err)
 	}
-	sess.be.InsertPlan(fp, consts, false, plan, meta)
-	return plan, nil
+	if cached {
+		sess.be.InsertPlan(fp, consts, false, plan, meta)
+	}
+	return prog, plan, nil
 }
 
 // syncedRegisters formats every BH_SYNCed register of an executed

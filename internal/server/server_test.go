@@ -156,7 +156,7 @@ func (c *client) array(id, reg string) api.Array {
 }
 
 // listings returns every committed examples/*/listing.bh source.
-func listings(t *testing.T) map[string]string {
+func listings(t testing.TB) map[string]string {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "*", "listing.bh"))
 	if err != nil {

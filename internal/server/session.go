@@ -36,9 +36,14 @@ type Quotas struct {
 // Lookups only accept plans carrying an equal tag: a plan compiled from
 // an optimized program must never serve a session with the optimizer
 // off (and vice versa), and plans other hosts of the same engine insert
-// under foreign meta types are never replayed here.
+// under foreign meta types are never replayed here. base is the parsed
+// listing's register count: the fingerprint ignores declarations no
+// instruction references, but the optimizer places its scratch registers
+// from len(Regs) on, so a plan only serves listings whose scratch ids
+// land where its own did.
 type planMeta struct {
 	optimize bool
+	base     int
 }
 
 // session is one tenant's execution state: a backend on the shared
